@@ -17,6 +17,7 @@
      recovery- checkpoint-recovery sweep: fault rate crossed with
                checkpoint policy, showing completion, replay cost, and
                checkpoint overhead for all four engines
+               (these four are one-knob sweeps: Experiment.knob_sweep)
      server  - query-server throughput sweep: a timed arrival stream
                through windowed admission and cross-query MQO, per-query
                latency percentiles and savings vs back-to-back runs
@@ -37,12 +38,11 @@
                oracles (cases/sec, per-oracle timings), plus a
                broken-engine self-test; --bench-json FILE writes the
                artifact
-     wall    - Bechamel wall-clock microbenchmarks of the in-memory
-               engines on representative queries
 
    Absolute numbers come from the MapReduce simulator's cost model
    (documented in DESIGN.md); the paper-facing claims are the shapes:
-   who wins, by what factor, and where the crossovers are. Usage:
+   who wins, by what factor, and where the crossovers are. Wall-clock
+   time of the real in-memory executions is measured by perf/. Usage:
 
      dune exec bench/main.exe [--scale N] [--trace DIR] [--faults SPEC]
                               [--mem SPEC] [--checkpoint SPEC]
@@ -54,7 +54,9 @@
    runs execute under that fault configuration; --mem SPEC (same spec as
    `rapida query --mem`) likewise bounds the per-task memory of every
    section's simulated cluster, and --checkpoint SPEC (same spec as
-   `rapida query --checkpoint`) checkpoints every section's workflows. *)
+   `rapida query --checkpoint`) checkpoints every section's workflows.
+   An unknown section, a missing option value, or a malformed one exits
+   with status 2. *)
 
 module Engine = Rapida_core.Engine
 module Plan_util = Rapida_core.Plan_util
@@ -74,39 +76,36 @@ let fault_cfg = ref Fault_injector.default
 let mem_cfg = ref Memory.default
 let checkpoint_cfg = ref Checkpoint.default
 
+let usage_error msg =
+  prerr_endline ("error: " ^ msg);
+  exit 2
+
 let () =
+  let spec parse cell value =
+    match parse value with Ok cfg -> cell := cfg | Error msg -> usage_error msg
+  in
+  let valued =
+    [
+      ( "--scale",
+        fun n ->
+          match int_of_string_opt n with
+          | Some n when n > 0 -> scale := n
+          | _ -> usage_error ("--scale needs a positive integer, got " ^ n) );
+      ("--trace", fun dir -> trace_dir := Some dir);
+      ("--bench-json", fun path -> bench_json := Some path);
+      ("--faults", spec Fault_injector.parse_spec fault_cfg);
+      ("--mem", spec Memory.parse_spec mem_cfg);
+      ("--checkpoint", spec Checkpoint.parse_spec checkpoint_cfg);
+    ]
+  in
   let rec parse = function
     | [] -> ()
-    | "--scale" :: n :: rest ->
-      scale := int_of_string n;
-      parse rest
-    | "--trace" :: dir :: rest ->
-      trace_dir := Some dir;
-      parse rest
-    | "--bench-json" :: path :: rest ->
-      bench_json := Some path;
-      parse rest
-    | "--faults" :: spec :: rest ->
-      (match Fault_injector.parse_spec spec with
-      | Ok cfg -> fault_cfg := cfg
-      | Error msg ->
-        prerr_endline ("error: " ^ msg);
-        exit 2);
-      parse rest
-    | "--mem" :: spec :: rest ->
-      (match Memory.parse_spec spec with
-      | Ok cfg -> mem_cfg := cfg
-      | Error msg ->
-        prerr_endline ("error: " ^ msg);
-        exit 2);
-      parse rest
-    | "--checkpoint" :: spec :: rest ->
-      (match Checkpoint.parse_spec spec with
-      | Ok cfg -> checkpoint_cfg := cfg
-      | Error msg ->
-        prerr_endline ("error: " ^ msg);
-        exit 2);
-      parse rest
+    | flag :: rest when List.mem_assoc flag valued -> (
+      match rest with
+      | value :: rest ->
+        List.assoc flag valued value;
+        parse rest
+      | [] -> usage_error (flag ^ " needs a value"))
     | s :: rest ->
       sections := s :: !sections;
       parse rest
@@ -252,79 +251,120 @@ let section_table4 () =
   in
   report ~section:"table4" ~title:"Table 4: MG11-MG18" ~engines:all_engines runs
 
+(* One knob at a time: one catalog query on each engine under every
+   labelled setting, reporting simulated time, shuffle volume, and the
+   slowdown against the first setting, whose result every other setting
+   must reproduce exactly (a diverged cell is marked [*]). *)
+let knob_sweep ?(engines = all_engines) ~title input id settings =
+  Fmt.pr "%a"
+    (Report.pp_knob_sweep ~engines)
+    (Experiment.knob_sweep ~engines ~title ~settings options
+       (Lazy.force input) (Catalog.find_exn id))
+
 (* Ablations over the design choices DESIGN.md calls out: each knob is
-   toggled in isolation on a workload where it matters, reporting the
-   simulated-time and shuffle deltas. Results are always identical (the
-   test suite enforces it); only costs move. *)
+   toggled in isolation on a workload where it matters. Results are
+   always identical; only costs move. *)
 let section_ablation () =
-  Fmt.pr "@.== Ablations ==@.";
-  let run opts kind input id =
-    let session = Engine.prepare kind (Lazy.force input) in
-    match
-      Engine.execute session (Plan_util.context opts)
-        (Catalog.parse (Catalog.find_exn id))
-    with
-    | Ok out -> out
-    | Error e -> failwith (Engine.error_message e)
-  in
-  let show label (on : Engine.output) (off : Engine.output) =
-    let module Stats = Rapida_mapred.Stats in
-    Fmt.pr
-      "%-42s on: %7.1fs %8.1fKB shuffled   off: %7.1fs %8.1fKB shuffled@."
-      label
-      (Stats.est_time_s on.Engine.stats)
-      (float_of_int (Stats.total_shuffle_bytes on.Engine.stats) /. 1024.)
-      (Stats.est_time_s off.Engine.stats)
-      (float_of_int (Stats.total_shuffle_bytes off.Engine.stats) /. 1024.)
-  in
-  show "RA partial aggregation (MG1)"
-    (run options Engine.Rapid_analytics bsbm_small "MG1")
-    (run
-       (Plan_util.make ~base:options ~ntga_combiner:false ())
-       Engine.Rapid_analytics bsbm_small "MG1");
-  show "RA filter pushdown (G6)"
-    (run options Engine.Rapid_analytics chem "G6")
-    (run
-       (Plan_util.make ~base:options ~ntga_filter_pushdown:false ())
-       Engine.Rapid_analytics chem "G6");
-  show "Hive map-joins (G5)"
-    (run options Engine.Hive_naive chem "G5")
-    (run
-       (Plan_util.make ~base:options ~map_join_threshold:0 ())
-       Engine.Hive_naive chem "G5");
-  show "Hive ORC storage (MG3)"
-    (run options Engine.Hive_naive bsbm_small "MG3")
-    (run
-       (Plan_util.make ~base:options ~hive_compression:1.0 ())
-       Engine.Hive_naive bsbm_small "MG3")
+  List.iter
+    (fun (knob, kind, input, id, off) ->
+      knob_sweep ~engines:[ kind ]
+        ~title:(Printf.sprintf "ablation: %s (%s)" knob id)
+        input id
+        [ ("on", Fun.id); ("off", off) ])
+    [
+      ( "RA partial aggregation",
+        Engine.Rapid_analytics,
+        bsbm_small,
+        "MG1",
+        fun o -> Plan_util.make ~base:o ~ntga_combiner:false () );
+      ( "RA filter pushdown",
+        Engine.Rapid_analytics,
+        chem,
+        "G6",
+        fun o -> Plan_util.make ~base:o ~ntga_filter_pushdown:false () );
+      ( "Hive map-joins",
+        Engine.Hive_naive,
+        chem,
+        "G5",
+        fun o -> Plan_util.make ~base:o ~map_join_threshold:0 () );
+      ( "Hive ORC storage",
+        Engine.Hive_naive,
+        bsbm_small,
+        "MG3",
+        fun o -> Plan_util.make ~base:o ~hive_compression:1.0 () );
+    ]
 
 (* Fault-injection degradation: each engine's simulated time as the
-   per-attempt crash/straggler rate rises, relative to its own
-   fault-free run. RAPIDAnalytics' shorter workflows re-roll fewer
-   attempts, so it degrades the least in absolute seconds. *)
+   per-attempt crash/straggler rate rises (two whole-job retries, seeded
+   injection). RAPIDAnalytics' shorter workflows re-roll fewer attempts,
+   so it degrades the least in absolute seconds. *)
 let section_faults () =
+  let setting rate =
+    ( Printf.sprintf "%g" rate,
+      fun o ->
+        Plan_util.make ~base:o
+          ~faults:
+            {
+              Fault_injector.default with
+              Fault_injector.seed = 7;
+              task_fail_p = rate;
+              straggler_p = rate;
+              job_retries = 2;
+            }
+          () )
+  in
   List.iter
     (fun (input, id) ->
-      let deg =
-        Experiment.degradation options (Lazy.force input)
-          (Catalog.find_exn id)
-      in
-      Fmt.pr "%a" (Report.pp_degradation ~engines:all_engines) deg)
+      knob_sweep
+        ~title:(Printf.sprintf "fault degradation: %s (seed 7)" id)
+        input id
+        (List.map setting [ 0.0; 0.02; 0.05; 0.1; 0.2 ]))
     [ (bsbm_small, "MG1"); (chem, "MG6") ]
 
 (* Memory-budget degradation: each engine's simulated time as the
-   per-task heap (and with it the sort buffer) shrinks, relative to its
-   own unbounded run. Results stay byte-identical at every budget; the
-   sweep shows where each engine starts spilling, OOM-retrying, and
+   per-task heap shrinks from the 1 GiB default. The sort buffer follows
+   at a quarter of the heap (a container's sort buffer is a fraction of
+   its heap, as in Hadoop), so one knob drives both spill pricing and
+   the OOM/fallback ladder. Results stay byte-identical at every budget;
+   the sweep shows where each engine starts spilling, OOM-retrying, and
    falling back from broadcast map-joins to repartition joins. *)
 let section_memory () =
+  let label b =
+    if b >= 1024 * 1024 * 1024 then
+      Printf.sprintf "%dG" (b / (1024 * 1024 * 1024))
+    else if b >= 1024 * 1024 then Printf.sprintf "%dM" (b / (1024 * 1024))
+    else if b >= 1024 then Printf.sprintf "%dK" (b / 1024)
+    else Printf.sprintf "%dB" b
+  in
+  let setting heap =
+    let mem =
+      {
+        Memory.default with
+        Memory.task_heap_bytes = heap;
+        sort_buffer_bytes =
+          max 1 (min Memory.default.Memory.sort_buffer_bytes (heap / 4));
+      }
+    in
+    ( label heap,
+      fun o ->
+        Plan_util.make ~base:o
+          ~cluster:(Rapida_mapred.Cluster.with_memory o.Plan_util.cluster mem)
+          () )
+  in
   List.iter
     (fun (input, id) ->
-      let sweep =
-        Experiment.memory_sweep options (Lazy.force input)
-          (Catalog.find_exn id)
-      in
-      Fmt.pr "%a" (Report.pp_memory ~engines:all_engines) sweep)
+      knob_sweep
+        ~title:(Printf.sprintf "memory degradation: %s" id)
+        input id
+        (List.map setting
+           [
+             Memory.default.Memory.task_heap_bytes;
+             256 * 1024;
+             64 * 1024;
+             16 * 1024;
+             4 * 1024;
+             1024;
+           ]))
     [ (bsbm_small, "MG1"); (chem, "G5") ]
 
 (* Checkpoint-recovery sweep: fault rate crossed with checkpoint policy
@@ -332,16 +372,31 @@ let section_memory () =
    whole-job resubmissions), so the Never policy can abort while any
    active policy recovers by replaying only the jobs since the last
    checkpoint. Shows the checkpoint-write overhead at rate 0 and the
-   replay savings versus whole-plan resubmission as the rate rises. *)
+   replay cost as the rate rises. *)
 let section_recovery () =
-  List.iter
-    (fun (input, id) ->
-      let sweep =
-        Experiment.recovery_sweep options (Lazy.force input)
-          (Catalog.find_exn id)
-      in
-      Fmt.pr "%a" (Report.pp_recovery ~engines:all_engines) sweep)
-    [ (bsbm_small, "MG1") ]
+  let setting (rate, policy) =
+    ( Fmt.str "%g %a" rate Checkpoint.pp_policy policy,
+      fun o ->
+        Plan_util.make ~base:o
+          ~faults:
+            {
+              Fault_injector.default with
+              Fault_injector.seed = 7;
+              task_fail_p = rate;
+              max_attempts = 2;
+              job_retries = 0;
+            }
+          ~checkpoint:{ Checkpoint.default with Checkpoint.policy }
+          () )
+  in
+  knob_sweep ~title:"checkpoint recovery: MG1 (seed 7)" bsbm_small "MG1"
+    (List.concat_map
+       (fun rate ->
+         List.map
+           (fun policy -> setting (rate, policy))
+           Checkpoint.
+             [ Never; Every_k 1; Every_k 2; Adaptive (16 * 1024) ])
+       [ 0.0; 0.1; 0.3 ])
 
 (* Query-server throughput: a generated BSBM arrival stream through the
    windowed-admission MQO server, sweeping admission window, scheduler
@@ -375,6 +430,25 @@ let section_overload () =
   in
   Fmt.pr "%a" Report.pp_overload sweep
 
+(* With --bench-json FILE, a section writes its committed BENCH artifact:
+   one JSON object naming the section and scale, then [fields]. *)
+let write_bench_json ~bench fields =
+  match !bench_json with
+  | None -> ()
+  | Some path ->
+    let module Json = Rapida_mapred.Json in
+    let doc =
+      Json.Obj
+        (("bench", Json.String bench) :: ("scale", Json.Int !scale) :: fields)
+    in
+    let oc = open_out path in
+    Fun.protect
+      ~finally:(fun () -> close_out oc)
+      (fun () ->
+        output_string oc (Json.to_string doc);
+        output_char oc '\n');
+    Fmt.pr "wrote %s@." path
+
 (* Static cardinality estimation: for each dataset, a one-pass catalog
    build (timed), then every catalog query on that dataset analyzed
    (timed), its plan nodes checked for interval soundness against the
@@ -399,53 +473,37 @@ let section_analyze () =
     (fun sweep ->
       Fmt.pr "%a" (Report.pp_estimation ~engines:all_engines) sweep)
     sweeps;
-  match !bench_json with
-  | None -> ()
-  | Some path ->
-    let sweep_json (s : Experiment.estimation_sweep) =
-      Json.Obj
-        [
-          ("label", Json.String s.Experiment.e_label);
-          ("triples", Json.Int s.Experiment.e_triples);
-          ( "catalog_build_ms",
-            Json.Float (1000.0 *. s.Experiment.e_catalog_build_s) );
-          ( "median_q_error",
-            Json.Float (Experiment.median_q_error s.Experiment.e_estimations)
-          );
-          ( "queries",
-            Json.List
-              (List.map
-                 (fun (e : Experiment.estimation) ->
-                   Json.Obj
-                     [
-                       ("id", Json.String e.Experiment.e_query.Catalog.id);
-                       ( "analysis_ms",
-                         Json.Float (1000.0 *. e.Experiment.e_analysis_s) );
-                       ("nodes", Json.Int e.Experiment.e_nodes);
-                       ("actual", Json.Int e.Experiment.e_actual);
-                       ("q_error", Json.Float e.Experiment.e_q_error);
-                       ( "max_node_q_error",
-                         Json.Float e.Experiment.e_max_node_q_error );
-                       ("violations", Json.Int e.Experiment.e_violations);
-                     ])
-                 s.Experiment.e_estimations) );
-        ]
-    in
-    let doc =
-      Json.Obj
-        [
-          ("bench", Json.String "analyze");
-          ("scale", Json.Int !scale);
-          ("datasets", Json.List (List.map sweep_json sweeps));
-        ]
-    in
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        output_string oc (Json.to_string doc);
-        output_char oc '\n');
-    Fmt.pr "wrote %s@." path
+  let sweep_json (s : Experiment.estimation_sweep) =
+    Json.Obj
+      [
+        ("label", Json.String s.Experiment.e_label);
+        ("triples", Json.Int s.Experiment.e_triples);
+        ( "catalog_build_ms",
+          Json.Float (1000.0 *. s.Experiment.e_catalog_build_s) );
+        ( "median_q_error",
+          Json.Float (Experiment.median_q_error s.Experiment.e_estimations)
+        );
+        ( "queries",
+          Json.List
+            (List.map
+               (fun (e : Experiment.estimation) ->
+                 Json.Obj
+                   [
+                     ("id", Json.String e.Experiment.e_query.Catalog.id);
+                     ( "analysis_ms",
+                       Json.Float (1000.0 *. e.Experiment.e_analysis_s) );
+                     ("nodes", Json.Int e.Experiment.e_nodes);
+                     ("actual", Json.Int e.Experiment.e_actual);
+                     ("q_error", Json.Float e.Experiment.e_q_error);
+                     ( "max_node_q_error",
+                       Json.Float e.Experiment.e_max_node_q_error );
+                     ("violations", Json.Int e.Experiment.e_violations);
+                   ])
+               s.Experiment.e_estimations) );
+      ]
+  in
+  write_bench_json ~bench:"analyze"
+    [ ("datasets", Json.List (List.map sweep_json sweeps)) ]
 
 (* Cost-based planner sweep: every multi-grouping BSBM query (plus a
    single-grouping control) planned cold and through the cache, the
@@ -466,76 +524,61 @@ let section_optimize () =
       (queries [ "MG1"; "MG2"; "MG3"; "MG4"; "G1" ])
   in
   Fmt.pr "%a" (Report.pp_optimize ~engines:all_engines) sweep;
-  match !bench_json with
-  | None -> ()
-  | Some path ->
-    let entry_json (e : Experiment.optimize_entry) =
-      let delta_pct =
-        if e.Experiment.p_heuristic_hi > 0.0 then
-          100.0
-          *. (e.Experiment.p_heuristic_hi -. e.Experiment.p_chosen_hi)
-          /. e.Experiment.p_heuristic_hi
-        else 0.0
-      in
+  let entry_json (e : Experiment.optimize_entry) =
+    let delta_pct =
+      if e.Experiment.p_heuristic_hi > 0.0 then
+        100.0
+        *. (e.Experiment.p_heuristic_hi -. e.Experiment.p_chosen_hi)
+        /. e.Experiment.p_heuristic_hi
+      else 0.0
+    in
+    Json.Obj
+      [
+        ("id", Json.String e.Experiment.p_query.Catalog.id);
+        ("planning_ms", Json.Float e.Experiment.p_planning_ms);
+        ("cache_hit_ms", Json.Float e.Experiment.p_replan_ms);
+        ("units", Json.Int e.Experiment.p_units);
+        ("hints", Json.Int e.Experiment.p_hints);
+        ("heuristic_hi_cost_s", Json.Float e.Experiment.p_heuristic_hi);
+        ("chosen_hi_cost_s", Json.Float e.Experiment.p_chosen_hi);
+        ("cost_delta_pct", Json.Float delta_pct);
+        ("all_verified", Json.Bool e.Experiment.p_all_verified);
+        ("identical", Json.Bool e.Experiment.p_identical);
+      ]
+  in
+  let server_json =
+    match sweep.Experiment.p_server.Server.r_optimize with
+    | None -> Json.Null
+    | Some o ->
+      let hits = o.Server.p_cache.Plan_cache.hits in
+      let misses = o.Server.p_cache.Plan_cache.misses in
       Json.Obj
         [
-          ("id", Json.String e.Experiment.p_query.Catalog.id);
-          ("planning_ms", Json.Float e.Experiment.p_planning_ms);
-          ("cache_hit_ms", Json.Float e.Experiment.p_replan_ms);
-          ("units", Json.Int e.Experiment.p_units);
-          ("hints", Json.Int e.Experiment.p_hints);
-          ("heuristic_hi_cost_s", Json.Float e.Experiment.p_heuristic_hi);
-          ("chosen_hi_cost_s", Json.Float e.Experiment.p_chosen_hi);
-          ("cost_delta_pct", Json.Float delta_pct);
-          ("all_verified", Json.Bool e.Experiment.p_all_verified);
-          ("identical", Json.Bool e.Experiment.p_identical);
+          ("planned", Json.Int o.Server.p_planned);
+          ("cache_hits", Json.Int hits);
+          ("cache_misses", Json.Int misses);
+          ( "hit_rate",
+            Json.Float
+              (if hits + misses > 0 then
+                 float_of_int hits /. float_of_int (hits + misses)
+               else 0.0) );
+          ("invalidations", Json.Int o.Server.p_cache.Plan_cache.invalidations);
+          ("evictions", Json.Int o.Server.p_cache.Plan_cache.evictions);
+          ("misestimates", Json.Int o.Server.p_misestimates);
+          ("fallbacks", Json.Int o.Server.p_fallbacks);
+          ("breaker", Json.String o.Server.p_breaker);
         ]
-    in
-    let server_json =
-      match sweep.Experiment.p_server.Server.r_optimize with
-      | None -> Json.Null
-      | Some o ->
-        let hits = o.Server.p_cache.Plan_cache.hits in
-        let misses = o.Server.p_cache.Plan_cache.misses in
-        Json.Obj
-          [
-            ("planned", Json.Int o.Server.p_planned);
-            ("cache_hits", Json.Int hits);
-            ("cache_misses", Json.Int misses);
-            ( "hit_rate",
-              Json.Float
-                (if hits + misses > 0 then
-                   float_of_int hits /. float_of_int (hits + misses)
-                 else 0.0) );
-            ("invalidations", Json.Int o.Server.p_cache.Plan_cache.invalidations);
-            ("evictions", Json.Int o.Server.p_cache.Plan_cache.evictions);
-            ("misestimates", Json.Int o.Server.p_misestimates);
-            ("fallbacks", Json.Int o.Server.p_fallbacks);
-            ("breaker", Json.String o.Server.p_breaker);
-          ]
-    in
-    let doc =
-      Json.Obj
-        [
-          ("bench", Json.String "optimize");
-          ("scale", Json.Int !scale);
-          ( "policy",
-            Json.String (Cost_model.policy_name sweep.Experiment.p_policy) );
-          ("label", Json.String sweep.Experiment.p_label);
-          ( "catalog_build_ms",
-            Json.Float (1000.0 *. sweep.Experiment.p_catalog_build_s) );
-          ( "queries",
-            Json.List (List.map entry_json sweep.Experiment.p_entries) );
-          ("server", server_json);
-        ]
-    in
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        output_string oc (Json.to_string doc);
-        output_char oc '\n');
-    Fmt.pr "wrote %s@." path
+  in
+  write_bench_json ~bench:"optimize"
+    [
+      ( "policy",
+        Json.String (Cost_model.policy_name sweep.Experiment.p_policy) );
+      ("label", Json.String sweep.Experiment.p_label);
+      ( "catalog_build_ms",
+        Json.Float (1000.0 *. sweep.Experiment.p_catalog_build_s) );
+      ("queries", Json.List (List.map entry_json sweep.Experiment.p_entries));
+      ("server", server_json);
+    ]
 
 (* The fuzzing harness as a benchmark: a full-budget run of all four
    oracles over the built-in dataset (expected clean), plus a short run
@@ -557,92 +600,41 @@ let section_fuzz () =
   | f :: _ ->
     Fmt.pr "first reproducer shrunk in %d step(s)@." f.Fuzz.f_shrink_steps
   | [] -> ());
-  match !bench_json with
-  | None -> ()
-  | Some path ->
-    let clean = sweep.Experiment.f_clean in
-    let doc =
-      Json.Obj
-        [
-          ("bench", Json.String "fuzz");
-          ("scale", Json.Int !scale);
-          ("clean", Fuzz.to_json clean);
-          ("broken", Fuzz.to_json broken);
-          ("caught", Json.Bool sweep.Experiment.f_caught);
-          ("elapsed_s", Json.Float sweep.Experiment.f_elapsed_s);
-        ]
-    in
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        output_string oc (Json.to_string doc);
-        output_char oc '\n');
-    Fmt.pr "wrote %s@." path
+  write_bench_json ~bench:"fuzz"
+    [
+      ("clean", Fuzz.to_json sweep.Experiment.f_clean);
+      ("broken", Fuzz.to_json broken);
+      ("caught", Json.Bool sweep.Experiment.f_caught);
+      ("elapsed_s", Json.Float sweep.Experiment.f_elapsed_s);
+    ]
 
-(* Wall-clock microbenchmarks of the real in-memory executions, per
-   engine, on representative queries from each workload. *)
-let section_wall () =
-  let open Bechamel in
-  let bench_query label input_lazy id =
-    let input = Lazy.force input_lazy in
-    let q = Catalog.parse (Catalog.find_exn id) in
-    List.map
-      (fun kind ->
-        (* Prepared outside the staged closure: the benchmark measures
-           execution, not storage preparation. *)
-        let session = Engine.prepare kind input in
-        Test.make
-          ~name:(Printf.sprintf "%s/%s/%s" label id (Engine.kind_name kind))
-          (Staged.stage (fun () ->
-               match Engine.execute session (Plan_util.context options) q with
-               | Ok _ -> ()
-               | Error e -> failwith (Engine.error_message e))))
-      all_engines
-  in
-  let tests =
-    Test.make_grouped ~name:"rapida"
-      (bench_query "bsbm" bsbm_small "MG1"
-      @ bench_query "chem" chem "MG6"
-      @ bench_query "pubmed" pubmed "MG13")
-  in
-  let cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second 0.5) ~kde:None () in
-  let raw = Benchmark.all cfg Toolkit.Instance.[ monotonic_clock ] tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false
-      ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  Fmt.pr "@.== Wall-clock (Bechamel, in-memory execution) ==@.";
-  let rows =
-    Hashtbl.fold
-      (fun name result acc ->
-        match Analyze.OLS.estimates result with
-        | Some [ est ] -> (name, est) :: acc
-        | _ -> (name, Float.nan) :: acc)
-      results []
-    |> List.sort compare
-  in
-  List.iter
-    (fun (name, est) -> Fmt.pr "%-48s %12.2f ms/run@." name (est /. 1e6))
-    rows
+let sections_in_order =
+  [
+    ("fig7", section_fig7);
+    ("table3", section_table3);
+    ("fig8a", section_fig8a);
+    ("fig8b", section_fig8b);
+    ("fig8c", section_fig8c);
+    ("table4", section_table4);
+    ("ablation", section_ablation);
+    ("faults", section_faults);
+    ("memory", section_memory);
+    ("recovery", section_recovery);
+    ("server", section_server);
+    ("overload", section_overload);
+    ("analyze", section_analyze);
+    ("optimize", section_optimize);
+    ("fuzz", section_fuzz);
+  ]
 
 let () =
+  List.iter
+    (fun s ->
+      if s <> "all" && not (List.mem_assoc s sections_in_order) then
+        usage_error
+          (Printf.sprintf "unknown section %s (expected all or one of: %s)" s
+             (String.concat " " (List.map fst sections_in_order))))
+    (List.rev !sections);
   Fmt.pr "RAPIDAnalytics benchmark harness (scale=%d)@." !scale;
   Fmt.pr "cluster model: %a@." Rapida_mapred.Cluster.pp options.cluster;
-  if want "fig7" then section_fig7 ();
-  if want "table3" then section_table3 ();
-  if want "fig8a" then section_fig8a ();
-  if want "fig8b" then section_fig8b ();
-  if want "fig8c" then section_fig8c ();
-  if want "table4" then section_table4 ();
-  if want "ablation" then section_ablation ();
-  if want "faults" then section_faults ();
-  if want "memory" then section_memory ();
-  if want "recovery" then section_recovery ();
-  if want "server" then section_server ();
-  if want "overload" then section_overload ();
-  if want "analyze" then section_analyze ();
-  if want "optimize" then section_optimize ();
-  if want "fuzz" then section_fuzz ();
-  if want "wall" then section_wall ()
+  List.iter (fun (name, run) -> if want name then run ()) sections_in_order

@@ -382,7 +382,7 @@ let query_cmd =
       in
       let options =
         Plan_util.make ~cluster ~faults:fault_cfg ~checkpoint:checkpoint_cfg
-          ~verify_plans ~analyze ()
+          ~verify_plans ()
       in
       let* graph = usage (load_graph ~mode:dirty_mode data) in
       let* src = usage (query_text query_file catalog_id) in
@@ -437,10 +437,10 @@ let query_cmd =
           true
         | Some _ | None -> false
       in
-      (* The Exec_ctx analyze hook: requested via the options record, read
-         back off the context after the run. *)
+      (* --analyze runs the static analyzer after the query; execution
+         itself never sees the flag. *)
       let measured =
-        if not (Exec_ctx.analyze ctx) then None
+        if not analyze then None
         else
           let catalog = Stats_catalog.build graph in
           let analysis = Card_analysis.analyze catalog query in

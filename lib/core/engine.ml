@@ -77,7 +77,6 @@ type verifier = kind -> Analytical.t -> Table.t -> string list
 let default_verifier : verifier ref = ref (fun _ _ _ -> [])
 
 let set_default_verifier f = default_verifier := f
-let set_plan_verifier = set_default_verifier
 
 type session = { s_kind : kind; s_input : input; s_verifier : verifier }
 
@@ -131,19 +130,3 @@ let execute_sparql session ctx src =
   match Analytical.parse src with
   | Error msg -> Error (Parse_error msg)
   | Ok query -> execute session ctx query
-
-(* --- deprecated shims ---------------------------------------------------- *)
-
-let run kind ctx input query =
-  Result.map_error error_message
-    (execute (prepare kind input) ctx query)
-
-let run_sparql kind ctx input src =
-  Result.map_error error_message
-    (execute_sparql (prepare kind input) ctx src)
-
-let run_with_options kind options input query =
-  run kind (Plan_util.context options) input query
-
-let run_sparql_with_options kind options input src =
-  run_sparql kind (Plan_util.context options) input src

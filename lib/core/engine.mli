@@ -75,9 +75,7 @@ type error =
 
 val pp_error : error Fmt.t
 
-(** [error_message e] is the one-line rendering of [e] — identical to the
-    strings the deprecated [(output, string) result] entry points
-    returned, so shimmed callers observe unchanged messages. *)
+(** [error_message e] is the one-line rendering of [e]. *)
 val error_message : error -> string
 
 (** [error_exit_code e] maps an error onto the CLI's exit-code
@@ -141,33 +139,3 @@ val execute_sparql :
     this one. Affects only sessions prepared {e after} the call;
     existing sessions keep the verifier they captured. *)
 val set_default_verifier : verifier -> unit
-
-val set_plan_verifier : verifier -> unit
-[@@ocaml.deprecated
-  "Use set_default_verifier (and per-session ?verifier on prepare); this \
-   alias will be removed next release."]
-
-val run :
-  kind -> Exec_ctx.t -> input -> Analytical.t -> (output, string) result
-[@@ocaml.deprecated
-  "Use execute (prepare kind input) ctx query; this shim will be removed \
-   next release."]
-
-val run_sparql :
-  kind -> Exec_ctx.t -> input -> string -> (output, string) result
-[@@ocaml.deprecated
-  "Use execute_sparql (prepare kind input) ctx src; this shim will be \
-   removed next release."]
-
-val run_with_options :
-  kind -> Plan_util.options -> input -> Analytical.t ->
-  (output, string) result
-[@@ocaml.deprecated
-  "Use execute (prepare kind input) (Plan_util.context options) query; \
-   this shim will be removed next release."]
-
-val run_sparql_with_options :
-  kind -> Plan_util.options -> input -> string -> (output, string) result
-[@@ocaml.deprecated
-  "Use execute_sparql (prepare kind input) (Plan_util.context options) \
-   src; this shim will be removed next release."]

@@ -19,8 +19,6 @@ type options = {
   faults : Rapida_mapred.Fault_injector.config;
   checkpoint : Rapida_mapred.Checkpoint.config;
   verify_plans : bool;
-  analyze : bool;
-  optimize : bool;
   join_orders : (int * int list) list;
 }
 
@@ -34,14 +32,12 @@ let default_options =
     faults = Rapida_mapred.Fault_injector.default;
     checkpoint = Rapida_mapred.Checkpoint.default;
     verify_plans = false;
-    analyze = false;
-    optimize = false;
     join_orders = [];
   }
 
 let make ?(base = default_options) ?cluster ?map_join_threshold
     ?hive_compression ?ntga_combiner ?ntga_filter_pushdown ?faults
-    ?checkpoint ?verify_plans ?analyze ?optimize ?join_orders () =
+    ?checkpoint ?verify_plans ?join_orders () =
   {
     cluster = Option.value ~default:base.cluster cluster;
     map_join_threshold =
@@ -54,8 +50,6 @@ let make ?(base = default_options) ?cluster ?map_join_threshold
     faults = Option.value ~default:base.faults faults;
     checkpoint = Option.value ~default:base.checkpoint checkpoint;
     verify_plans = Option.value ~default:base.verify_plans verify_plans;
-    analyze = Option.value ~default:base.analyze analyze;
-    optimize = Option.value ~default:base.optimize optimize;
     join_orders = Option.value ~default:base.join_orders join_orders;
   }
 
@@ -68,7 +62,7 @@ let degrade_options base =
   (* Degraded plans also drop any optimizer hints: the heuristic
      (pre-optimizer) order is the misestimate-defense fallback, so
      degradation must land exactly there. *)
-  { base with map_join_threshold = max_int; optimize = false; join_orders = [] }
+  { base with map_join_threshold = max_int; join_orders = [] }
 
 let context options =
   Exec_ctx.create ~cluster:options.cluster
@@ -81,7 +75,6 @@ let context options =
       }
     ~faults:(Rapida_mapred.Fault_injector.create options.faults)
     ~checkpoint:options.checkpoint ~verify_plans:options.verify_plans
-    ~analyze:options.analyze ~optimize:options.optimize
     ~join_orders:options.join_orders ()
 
 let hive_ctx ctx =

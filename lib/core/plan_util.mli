@@ -43,16 +43,6 @@ type options = {
           invariants and result schema with the registered static plan
           verifier (see {!Engine.set_default_verifier}). Pure and
           out-of-band — cost-model outputs are unchanged. *)
-  analyze : bool;
-      (** request the static cardinality analysis report alongside
-          execution (the [query --analyze] hook; see
-          {!Rapida_mapred.Exec_ctx.analyze}). Off by default; engines
-          never read it, so outputs are byte-identical either way. *)
-  optimize : bool;
-      (** arm the cost-based planner ([Rapida_planner]): engines consult
-          [join_orders] for enumerated star-join orders. Off by default;
-          with it off (and [join_orders] empty) plans are byte-identical
-          to the heuristic pre-optimizer behavior. *)
   join_orders : (int * int list) list;
       (** optimizer-chosen star-id join orders, keyed by subquery id
           (reserved key [-1]: the composite MQO plan's [cs_id] order).
@@ -76,8 +66,6 @@ val make :
   ?faults:Rapida_mapred.Fault_injector.config ->
   ?checkpoint:Rapida_mapred.Checkpoint.config ->
   ?verify_plans:bool ->
-  ?analyze:bool ->
-  ?optimize:bool ->
   ?join_orders:(int * int list) list ->
   unit -> options
 
@@ -87,8 +75,8 @@ val make :
     skipping the cost-based shuffle/broadcast decision. Answers are
     unchanged — this is the query server's cheap-heuristic-plan rung of
     the degradation ladder. Optimizer hints are dropped too
-    ([optimize = false], [join_orders = []]): degraded execution is the
-    misestimate-defense fallback and must use the heuristic order. *)
+    ([join_orders = []]): degraded execution is the misestimate-defense
+    fallback and must use the heuristic order. *)
 val degrade_options : options -> options
 
 (** [context options] is a fresh execution context (empty trace and

@@ -16,7 +16,6 @@ type engine_result = {
   output_bytes : int;
   est_time_s : float;
   phases : Stats.breakdown;
-  wall_s : float;
   result_rows : int;
   agreed : bool;
   error : string option;
@@ -46,7 +45,6 @@ let failed_result engine trace msg =
     output_bytes = 0;
     est_time_s = 0.0;
     phases = Stats.breakdown_zero;
-    wall_s = 0.0;
     result_rows = 0;
     agreed = false;
     error = Some msg;
@@ -63,12 +61,10 @@ let run_query ?(engines = Engine.all_kinds) options ~label input entry =
         (* A fresh context per engine run: each result's trace and
            counters describe exactly one engine's workflow. *)
         let ctx = Plan_util.context options in
-        let t0 = Unix.gettimeofday () in
         match execute kind ctx input q with
         | Error msg ->
           failed_result kind (Rapida_mapred.Exec_ctx.trace ctx) msg
         | Ok { table; stats; trace } ->
-          let wall_s = Unix.gettimeofday () -. t0 in
           {
             engine = kind;
             cycles = Stats.cycles stats;
@@ -78,7 +74,6 @@ let run_query ?(engines = Engine.all_kinds) options ~label input entry =
             output_bytes = Stats.total_output_bytes stats;
             est_time_s = Stats.est_time_s stats;
             phases = Stats.total_breakdown stats;
-            wall_s;
             result_rows = Table.cardinality table;
             agreed = Relops.same_results expected table;
             error = None;
@@ -221,348 +216,80 @@ let max_q_error ests =
 
 let all_agreed run = List.for_all (fun r -> r.agreed) run.results
 
-(* --- Fault-injection degradation sweep --------------------------------- *)
+(* --- One-knob sweeps ------------------------------------------------------ *)
 
-module Fault_injector = Rapida_mapred.Fault_injector
-
-type degradation_point = {
-  d_engine : Engine.kind;
-  d_rate : float;
-  d_time_s : float;
-  d_slowdown : float;
-  d_attempts_failed : int;
-  d_speculative : int;
-  d_transparent : bool;
-  d_aborted : bool;
-}
-
-type degradation = {
-  d_query : Catalog.entry;
-  d_seed : int;
-  d_rates : float list;
-  d_baseline : (Engine.kind * float) list;
-  d_points : degradation_point list;
-}
-
-let degradation ?(engines = Engine.all_kinds) ?(seed = 7)
-    ?(rates = [ 0.0; 0.02; 0.05; 0.1; 0.2 ]) options input entry =
-  let q = Catalog.parse entry in
-  let run_one kind cfg =
-    let ctx =
-      Plan_util.context (Plan_util.make ~base:options ~faults:cfg ())
-    in
-    execute kind ctx input q
-  in
-  let baseline =
-    List.map
-      (fun kind ->
-        match run_one kind Fault_injector.default with
-        | Ok { table; stats; _ } -> (kind, table, Stats.est_time_s stats)
-        | Error msg ->
-          invalid_arg
-            (Printf.sprintf "degradation: fault-free %s failed: %s"
-               (Engine.kind_name kind) msg))
-      engines
-  in
-  let points =
-    List.concat_map
-      (fun rate ->
-        List.map
-          (fun (kind, base_table, base_s) ->
-            let cfg =
-              {
-                Fault_injector.default with
-                Fault_injector.seed;
-                task_fail_p = rate;
-                straggler_p = rate;
-                job_retries = 2;
-              }
-            in
-            match run_one kind cfg with
-            | Ok { table; stats; _ } ->
-              let t = Stats.est_time_s stats in
-              {
-                d_engine = kind;
-                d_rate = rate;
-                d_time_s = t;
-                d_slowdown = (if base_s > 0.0 then t /. base_s else 1.0);
-                d_attempts_failed = Stats.total_attempts_failed stats;
-                d_speculative = Stats.total_speculative_launched stats;
-                d_transparent = Relops.same_results base_table table;
-                d_aborted = false;
-              }
-            | Error _ ->
-              {
-                d_engine = kind;
-                d_rate = rate;
-                d_time_s = 0.0;
-                d_slowdown = 0.0;
-                d_attempts_failed = 0;
-                d_speculative = 0;
-                d_transparent = false;
-                d_aborted = true;
-              })
-          baseline)
-      rates
-  in
-  {
-    d_query = entry;
-    d_seed = seed;
-    d_rates = rates;
-    d_baseline = List.map (fun (k, _, s) -> (k, s)) baseline;
-    d_points = points;
-  }
-
-let degradation_point deg kind rate =
-  List.find_opt
-    (fun p -> p.d_engine = kind && p.d_rate = rate)
-    deg.d_points
-
-(* --- Memory-budget sweep ------------------------------------------------ *)
-
-module Cluster = Rapida_mapred.Cluster
-module Memory = Rapida_mapred.Memory
 module Metrics = Rapida_mapred.Metrics
 
-type memory_point = {
-  m_engine : Engine.kind;
-  m_heap_bytes : int;
-  m_time_s : float;
-  m_slowdown : float;
-  m_spilled_bytes : int;
-  m_spill_passes : int;
-  m_oom_kills : int;
-  m_mapjoin_fallbacks : int;
-  m_transparent : bool;
+type knob_point = {
+  k_engine : Engine.kind;
+  k_setting : string;
+  k_result : (Engine.output, string) result;
+  k_metrics : Metrics.t;
+  k_slowdown : float;
+  k_transparent : bool;
 }
 
-type memory_sweep = {
-  m_query : Catalog.entry;
-  m_heaps : int list;
-  m_baseline : (Engine.kind * float) list;
-  m_points : memory_point list;
+type knob_sweep = {
+  k_title : string;
+  k_settings : string list;
+  k_points : knob_point list;
 }
 
-(* Shrinking the heap also shrinks the sort buffer (a container's sort
-   buffer is a fraction of its heap, as in Hadoop), so one knob drives
-   both spill pricing and the OOM/fallback ladder. *)
-let mem_of_heap heap_bytes =
-  {
-    Memory.default with
-    Memory.task_heap_bytes = heap_bytes;
-    sort_buffer_bytes =
-      max 1 (min Memory.default.Memory.sort_buffer_bytes (heap_bytes / 4));
-  }
-
-let memory_sweep ?(engines = Engine.all_kinds)
-    ?(heaps =
-      [
-        Memory.default.Memory.task_heap_bytes;
-        256 * 1024;
-        64 * 1024;
-        16 * 1024;
-        4 * 1024;
-        1024;
-      ]) options input entry =
+let knob_sweep ?(engines = Engine.all_kinds) ~title ~settings options input
+    entry =
+  if settings = [] then invalid_arg "knob_sweep: no settings";
   let q = Catalog.parse entry in
-  let run_one kind heap =
-    let cluster =
-      Cluster.with_memory options.Plan_util.cluster (mem_of_heap heap)
+  let sweep_engine kind =
+    let session = Engine.prepare kind input in
+    let runs =
+      List.map
+        (fun (label, knob) ->
+          let ctx = Plan_util.context (knob options) in
+          let result =
+            Result.map_error Engine.error_message (Engine.execute session ctx q)
+          in
+          (label, result, Rapida_mapred.Exec_ctx.metrics ctx))
+        settings
     in
-    let ctx = Plan_util.context (Plan_util.make ~base:options ~cluster ()) in
-    (ctx, execute kind ctx input q)
-  in
-  let unbounded = Memory.default.Memory.task_heap_bytes in
-  let baseline =
+    (* Every point is measured against this engine's first-setting run. *)
+    let base =
+      match List.hd runs with
+      | _, Ok out, _ -> out
+      | label, Error msg, _ ->
+        invalid_arg
+          (Printf.sprintf "knob_sweep: %s under %s failed: %s"
+             (Engine.kind_name kind) label msg)
+    in
+    let base_s = Stats.est_time_s base.Engine.stats in
     List.map
-      (fun kind ->
-        match run_one kind unbounded with
-        | _, Ok { table; stats; _ } -> (kind, table, Stats.est_time_s stats)
-        | _, Error msg ->
-          invalid_arg
-            (Printf.sprintf "memory_sweep: unbounded %s failed: %s"
-               (Engine.kind_name kind) msg))
-      engines
-  in
-  let points =
-    List.concat_map
-      (fun heap ->
-        List.map
-          (fun (kind, base_table, base_s) ->
-            match run_one kind heap with
-            | ctx, Ok { table; stats; _ } ->
-              let t = Stats.est_time_s stats in
-              {
-                m_engine = kind;
-                m_heap_bytes = heap;
-                m_time_s = t;
-                m_slowdown = (if base_s > 0.0 then t /. base_s else 1.0);
-                m_spilled_bytes = Stats.total_spilled_bytes stats;
-                m_spill_passes = Stats.total_spill_passes stats;
-                m_oom_kills = Stats.total_oom_kills stats;
-                m_mapjoin_fallbacks =
-                  Metrics.get
-                    (Rapida_mapred.Exec_ctx.metrics ctx)
-                    "mem.mapjoin_fallbacks";
-                m_transparent = Relops.same_results base_table table;
-              }
-            | _, Error msg ->
-              invalid_arg
-                (Printf.sprintf "memory_sweep: %s at heap=%d failed: %s"
-                   (Engine.kind_name kind) heap msg))
-          baseline)
-      heaps
+      (fun (k_setting, k_result, k_metrics) ->
+        let k_slowdown, k_transparent =
+          match k_result with
+          | Ok out ->
+            let t = Stats.est_time_s out.Engine.stats in
+            ( (if base_s > 0.0 then t /. base_s else 1.0),
+              Relops.same_results base.Engine.table out.Engine.table )
+          | Error _ -> (0.0, false)
+        in
+        {
+          k_engine = kind;
+          k_setting;
+          k_result;
+          k_metrics;
+          k_slowdown;
+          k_transparent;
+        })
+      runs
   in
   {
-    m_query = entry;
-    m_heaps = heaps;
-    m_baseline = List.map (fun (k, _, s) -> (k, s)) baseline;
-    m_points = points;
+    k_title = title;
+    k_settings = List.map fst settings;
+    k_points = List.concat_map sweep_engine engines;
   }
-
-let memory_point sweep kind heap =
-  List.find_opt
-    (fun p -> p.m_engine = kind && p.m_heap_bytes = heap)
-    sweep.m_points
-
-(* --- Checkpoint-recovery sweep ------------------------------------------ *)
-
-module Checkpoint = Rapida_mapred.Checkpoint
-
-type recovery_point = {
-  r_engine : Engine.kind;
-  r_rate : float;
-  r_policy : Checkpoint.policy;
-  r_completed : bool;
-  r_time_s : float;
-  r_replayed_s : float;
-  r_saved_s : float;
-  r_recoveries : int;
-  r_checkpoints : int;
-  r_checkpoint_s : float;
-  r_transparent : bool;
-}
-
-type recovery = {
-  r_query : Catalog.entry;
-  r_seed : int;
-  r_rates : float list;
-  r_policies : Checkpoint.policy list;
-  r_baseline : (Engine.kind * float) list;
-  r_points : recovery_point list;
-}
-
-let recovery_sweep ?(engines = Engine.all_kinds) ?(seed = 7)
-    ?(rates = [ 0.0; 0.1; 0.3 ])
-    ?(policies =
-      [
-        Checkpoint.Never;
-        Checkpoint.Every_k 1;
-        Checkpoint.Every_k 2;
-        Checkpoint.Adaptive (16 * 1024);
-      ]) options input entry =
-  let q = Catalog.parse entry in
-  (* Harsh retry settings on purpose: no whole-job resubmission budget
-     and only two task attempts, so a [Never] workflow can actually
-     abort and an active policy has recoveries to price. *)
-  let cfg_of rate =
-    {
-      Fault_injector.default with
-      Fault_injector.seed;
-      task_fail_p = rate;
-      max_attempts = 2;
-      job_retries = 0;
-    }
-  in
-  let run_one kind rate policy =
-    let checkpoint = { Checkpoint.default with Checkpoint.policy } in
-    let ctx =
-      Plan_util.context
-        (Plan_util.make ~base:options ~faults:(cfg_of rate) ~checkpoint ())
-    in
-    (ctx, execute kind ctx input q)
-  in
-  let baseline =
-    List.map
-      (fun kind ->
-        match run_one kind 0.0 Checkpoint.Never with
-        | _, Ok { table; stats; _ } -> (kind, table, Stats.est_time_s stats)
-        | _, Error msg ->
-          invalid_arg
-            (Printf.sprintf "recovery_sweep: fault-free %s failed: %s"
-               (Engine.kind_name kind) msg))
-      engines
-  in
-  let points =
-    List.concat_map
-      (fun rate ->
-        List.concat_map
-          (fun (kind, base_table, _) ->
-            (* Reference for savings: recovery active but checkpoints
-               never due (unreachable adaptive budget), so every
-               recovery replays the whole completed prefix — the cost of
-               naive whole-plan resubmission. *)
-            let whole_replayed =
-              match run_one kind rate (Checkpoint.Adaptive max_int) with
-              | _, Ok { stats; _ } -> Stats.replayed_s stats
-              | _, Error _ -> 0.0
-            in
-            List.map
-              (fun policy ->
-                match run_one kind rate policy with
-                | ctx, Ok { table; stats; _ } ->
-                  {
-                    r_engine = kind;
-                    r_rate = rate;
-                    r_policy = policy;
-                    r_completed = true;
-                    r_time_s = Stats.est_time_s stats;
-                    r_replayed_s = Stats.replayed_s stats;
-                    r_saved_s =
-                      (if policy = Checkpoint.Never then 0.0
-                       else whole_replayed -. Stats.replayed_s stats);
-                    r_recoveries =
-                      Metrics.get
-                        (Rapida_mapred.Exec_ctx.metrics ctx)
-                        "mr.recoveries";
-                    r_checkpoints = Stats.checkpoints_written stats;
-                    r_checkpoint_s = Stats.checkpoint_s stats;
-                    r_transparent = Relops.same_results base_table table;
-                  }
-                | _, Error _ ->
-                  {
-                    r_engine = kind;
-                    r_rate = rate;
-                    r_policy = policy;
-                    r_completed = false;
-                    r_time_s = 0.0;
-                    r_replayed_s = 0.0;
-                    r_saved_s = 0.0;
-                    r_recoveries = 0;
-                    r_checkpoints = 0;
-                    r_checkpoint_s = 0.0;
-                    r_transparent = false;
-                  })
-              policies)
-          baseline)
-      rates
-  in
-  {
-    r_query = entry;
-    r_seed = seed;
-    r_rates = rates;
-    r_policies = policies;
-    r_baseline = List.map (fun (k, _, s) -> (k, s)) baseline;
-    r_points = points;
-  }
-
-let recovery_point sweep kind rate policy =
-  List.find_opt
-    (fun p -> p.r_engine = kind && p.r_rate = rate && p.r_policy = policy)
-    sweep.r_points
 
 (* --- Query-server throughput sweep -------------------------------------- *)
 
+module Fault_injector = Rapida_mapred.Fault_injector
 module Server = Rapida_server.Server
 module Scheduler = Rapida_mapred.Scheduler
 module Workload = Rapida_server.Workload

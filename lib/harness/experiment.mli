@@ -1,7 +1,6 @@
 (** Experiment runner: evaluate catalog queries on all engines over a
     prepared dataset, verify every engine against the reference
-    evaluator, and collect simulator statistics plus measured wall-clock
-    time.
+    evaluator, and collect simulator statistics.
 
     Each engine run gets a fresh execution context built from the given
     options, so the per-result trace and phase breakdown describe exactly
@@ -21,7 +20,6 @@ type engine_result = {
   output_bytes : int;
   est_time_s : float;  (** simulated cluster seconds from the cost model *)
   phases : Stats.breakdown;  (** per-phase totals across the workflow *)
-  wall_s : float;  (** measured wall-clock of the in-memory execution *)
   result_rows : int;
   agreed : bool;  (** result identical to the reference evaluator *)
   error : string option;
@@ -114,145 +112,45 @@ val q_error_percentile : float -> estimation list -> float
 (** [max_q_error ests] is the worst root q-error (0 when empty). *)
 val max_q_error : estimation list -> float
 
-(** One engine at one fault rate in a {!degradation} sweep. *)
-type degradation_point = {
-  d_engine : Engine.kind;
-  d_rate : float;  (** per-attempt crash and straggler probability *)
-  d_time_s : float;  (** simulated time under faults (0 when aborted) *)
-  d_slowdown : float;  (** [d_time_s] over the engine's fault-free time *)
-  d_attempts_failed : int;
-  d_speculative : int;
-  d_transparent : bool;
-      (** result identical to the engine's fault-free result *)
-  d_aborted : bool;  (** the workflow ran out of retries *)
+(** One engine under one setting of a {!knob_sweep}. *)
+type knob_point = {
+  k_engine : Engine.kind;
+  k_setting : string;  (** the setting's label *)
+  k_result : (Engine.output, string) result;
+      (** the run's output, or why it failed (e.g. out of retries) *)
+  k_metrics : Rapida_mapred.Metrics.t;  (** the run's counters *)
+  k_slowdown : float;
+      (** simulated time over the engine's first-setting time; 0 when
+          the run failed *)
+  k_transparent : bool;
+      (** result identical to the engine's first-setting result *)
 }
 
-type degradation = {
-  d_query : Catalog.entry;
-  d_seed : int;
-  d_rates : float list;
-  d_baseline : (Engine.kind * float) list;  (** fault-free times *)
-  d_points : degradation_point list;  (** rate-major, engine order *)
+type knob_sweep = {
+  k_title : string;
+  k_settings : string list;  (** setting labels, in sweep order *)
+  k_points : knob_point list;  (** engine-major, setting order *)
 }
 
-(** [degradation ?engines ?seed ?rates options input entry] sweeps fault
-    rates over one catalog query: for each rate, every engine runs with
-    per-attempt crash and straggler probability set to the rate (two
-    whole-job retries, seeded injection), and the point records the
-    simulated-time degradation relative to that engine's fault-free run
-    plus whether fault tolerance stayed transparent. Rates default to
-    [0, 0.02, 0.05, 0.1, 0.2].
+(** [knob_sweep ?engines ~title ~settings options input entry] runs one
+    catalog query on every engine under each labelled setting, where a
+    setting transforms [options] (a fault rate, a heap budget, a
+    checkpoint policy, an ablation toggle). The first setting is the
+    baseline: each point records its slowdown against, and result
+    identity with, the same engine's first-setting run — the
+    transparency invariant every knob must keep.
 
-    @raise Invalid_argument when a fault-free run fails. *)
-val degradation :
+    @raise Invalid_argument when [settings] is empty or a first-setting
+    run fails. *)
+val knob_sweep :
   ?engines:Engine.kind list ->
-  ?seed:int ->
-  ?rates:float list ->
+  title:string ->
+  settings:(string * (Rapida_core.Plan_util.options ->
+                      Rapida_core.Plan_util.options)) list ->
   Rapida_core.Plan_util.options ->
   Engine.input ->
   Catalog.entry ->
-  degradation
-
-(** [degradation_point deg kind rate] finds one sweep point. *)
-val degradation_point :
-  degradation -> Engine.kind -> float -> degradation_point option
-
-(** One engine at one heap budget in a {!memory_sweep}. *)
-type memory_point = {
-  m_engine : Engine.kind;
-  m_heap_bytes : int;  (** per-task heap for this point *)
-  m_time_s : float;  (** simulated time under the budget *)
-  m_slowdown : float;  (** [m_time_s] over the engine's unbounded time *)
-  m_spilled_bytes : int;  (** external-sort bytes moved through local disk *)
-  m_spill_passes : int;
-  m_oom_kills : int;  (** attempts killed over the hard heap limit *)
-  m_mapjoin_fallbacks : int;
-      (** broadcast joins degraded to repartition joins by the planner *)
-  m_transparent : bool;
-      (** result identical to the engine's unbounded result *)
-}
-
-type memory_sweep = {
-  m_query : Catalog.entry;
-  m_heaps : int list;  (** swept budgets, largest first *)
-  m_baseline : (Engine.kind * float) list;  (** unbounded times *)
-  m_points : memory_point list;  (** heap-major, engine order *)
-}
-
-(** [memory_sweep ?engines ?heaps options input entry] shrinks the
-    per-task heap across [heaps] (the sort buffer follows at a quarter
-    of the heap, capped at the default) over one catalog query: each
-    point records the simulated-time degradation relative to that
-    engine's unbounded run, the spill/OOM/fallback counters, and
-    whether the results stayed byte-identical — the memory model's
-    transparency invariant. Defaults sweep 1 GiB down to 1 KiB.
-
-    @raise Invalid_argument when a run fails. *)
-val memory_sweep :
-  ?engines:Engine.kind list ->
-  ?heaps:int list ->
-  Rapida_core.Plan_util.options ->
-  Engine.input ->
-  Catalog.entry ->
-  memory_sweep
-
-(** [memory_point sweep kind heap] finds one sweep point. *)
-val memory_point :
-  memory_sweep -> Engine.kind -> int -> memory_point option
-
-(** One engine at one fault rate under one checkpoint policy in a
-    {!recovery_sweep}. *)
-type recovery_point = {
-  r_engine : Engine.kind;
-  r_rate : float;  (** per-attempt crash probability *)
-  r_policy : Rapida_mapred.Checkpoint.policy;
-  r_completed : bool;  (** [false] iff the workflow aborted *)
-  r_time_s : float;  (** simulated time, 0 when aborted *)
-  r_replayed_s : float;  (** simulated time re-charged by recoveries *)
-  r_saved_s : float;
-      (** replay time avoided versus whole-plan resubmission (the
-          recovery-active, never-due reference policy); 0 for [Never] *)
-  r_recoveries : int;  (** checkpoint-restart events *)
-  r_checkpoints : int;  (** checkpoints written *)
-  r_checkpoint_s : float;  (** simulated time spent writing them *)
-  r_transparent : bool;
-      (** result identical to the engine's fault-free result *)
-}
-
-type recovery = {
-  r_query : Catalog.entry;
-  r_seed : int;
-  r_rates : float list;
-  r_policies : Rapida_mapred.Checkpoint.policy list;
-  r_baseline : (Engine.kind * float) list;  (** fault-free times *)
-  r_points : recovery_point list;  (** rate-major, engine, policy order *)
-}
-
-(** [recovery_sweep ?engines ?seed ?rates ?policies options input entry]
-    crosses fault rates with checkpoint policies over one catalog query.
-    Retries are deliberately harsh (two task attempts, no whole-job
-    resubmissions) so that [Never] can abort while any active policy
-    recovers; each point records completion, replay/checkpoint pricing,
-    the time saved versus whole-plan resubmission, and whether the
-    result stayed byte-identical to the fault-free run. Rates default to
-    [0, 0.1, 0.3]; policies to [Never], [Every_k 1], [Every_k 2], and
-    [Adaptive 16 KiB].
-
-    @raise Invalid_argument when a fault-free run fails. *)
-val recovery_sweep :
-  ?engines:Engine.kind list ->
-  ?seed:int ->
-  ?rates:float list ->
-  ?policies:Rapida_mapred.Checkpoint.policy list ->
-  Rapida_core.Plan_util.options ->
-  Engine.input ->
-  Catalog.entry ->
-  recovery
-
-(** [recovery_point sweep kind rate policy] finds one sweep point. *)
-val recovery_point :
-  recovery -> Engine.kind -> float -> Rapida_mapred.Checkpoint.policy ->
-  recovery_point option
+  knob_sweep
 
 (** One (admission window, scheduler policy, sharing) setting of a
     query-server {!throughput} sweep, carrying the server's full report

@@ -130,122 +130,71 @@ let pp_phases ~title ~engines ppf runs =
     "(simulated seconds per phase: startup/map/shuffle+sort/reduce\
      [/spill])@."
 
-let pp_degradation ~engines ppf (deg : Experiment.degradation) =
-  Fmt.pf ppf "@.== fault degradation: %s (seed %d) ==@."
-    deg.Experiment.d_query.Catalog.id deg.Experiment.d_seed;
-  Fmt.pf ppf "%-6s" "fault";
-  List.iter (fun k -> Fmt.pf ppf " %18s" (engine_header k)) engines;
-  Fmt.pf ppf "@.";
-  List.iter
-    (fun rate ->
-      Fmt.pf ppf "%-6s" (Printf.sprintf "%g" rate);
-      List.iter
-        (fun k ->
-          let cell =
-            match Experiment.degradation_point deg k rate with
-            | None -> "-"
-            | Some p ->
-              if p.Experiment.d_aborted then "aborted"
-              else
-                Printf.sprintf "%.1fs (%.2fx)%s" p.Experiment.d_time_s
-                  p.Experiment.d_slowdown
-                  (if p.Experiment.d_transparent then "" else "*")
-          in
-          Fmt.pf ppf " %18s" cell)
-        engines;
-      Fmt.pf ppf "@.")
-    deg.Experiment.d_rates;
-  Fmt.pf ppf
-    "(simulated seconds and slowdown vs fault-free; * = result diverged)@."
+let knob_cell (p : Experiment.knob_point) =
+  let module Stats = Rapida_mapred.Stats in
+  match p.Experiment.k_result with
+  | Error _ -> "aborted"
+  | Ok { Engine.stats; _ } ->
+    let count = Rapida_mapred.Metrics.get p.Experiment.k_metrics in
+    let recoveries = count "mr.recoveries" in
+    let checkpoints = Stats.checkpoints_written stats in
+    String.concat ""
+      [
+        Printf.sprintf "%.1fs %.1fKB (%.2fx)" (Stats.est_time_s stats)
+          (float_of_int (Stats.total_shuffle_bytes stats) /. 1024.0)
+          p.Experiment.k_slowdown;
+        (if Stats.total_spill_passes stats > 0 then " s" else "");
+        (if Stats.total_oom_kills stats > 0 then "!o" else "");
+        (if count "mem.mapjoin_fallbacks" > 0 then "+r" else "");
+        (if recoveries > 0 then
+           Printf.sprintf " r%d/%.0fs" recoveries (Stats.replayed_s stats)
+         else "");
+        (if checkpoints > 0 then Printf.sprintf " c%d" checkpoints else "");
+        (if p.Experiment.k_transparent then "" else "*");
+      ]
 
-let pp_memory ~engines ppf (sweep : Experiment.memory_sweep) =
-  Fmt.pf ppf "@.== memory degradation: %s ==@."
-    sweep.Experiment.m_query.Catalog.id;
-  Fmt.pf ppf "%-8s" "heap";
-  List.iter (fun k -> Fmt.pf ppf " %24s" (engine_header k)) engines;
-  Fmt.pf ppf "@.";
-  let pp_heap b =
-    if b >= 1024 * 1024 * 1024 then
-      Printf.sprintf "%dG" (b / (1024 * 1024 * 1024))
-    else if b >= 1024 * 1024 then Printf.sprintf "%dM" (b / (1024 * 1024))
-    else if b >= 1024 then Printf.sprintf "%dK" (b / 1024)
-    else Printf.sprintf "%dB" b
+let pp_knob_sweep ~engines ppf (sweep : Experiment.knob_sweep) =
+  let cell kind setting =
+    match
+      List.find_opt
+        (fun (p : Experiment.knob_point) ->
+          p.k_engine = kind && p.k_setting = setting)
+        sweep.Experiment.k_points
+    with
+    | None -> "-"
+    | Some p -> knob_cell p
   in
-  List.iter
-    (fun heap ->
-      Fmt.pf ppf "%-8s" (pp_heap heap);
-      List.iter
-        (fun k ->
-          let cell =
-            match Experiment.memory_point sweep k heap with
-            | None -> "-"
-            | Some p ->
-              let flags =
-                String.concat ""
-                  [
-                    (if p.Experiment.m_spill_passes > 0 then " s" else "");
-                    (if p.Experiment.m_oom_kills > 0 then "!o" else "");
-                    (if p.Experiment.m_mapjoin_fallbacks > 0 then "+r"
-                     else "");
-                    (if p.Experiment.m_transparent then "" else "*");
-                  ]
-              in
-              Printf.sprintf "%.1fs (%.2fx)%s" p.Experiment.m_time_s
-                p.Experiment.m_slowdown flags
-          in
-          Fmt.pf ppf " %24s" cell)
-        engines;
-      Fmt.pf ppf "@.")
-    sweep.Experiment.m_heaps;
-  Fmt.pf ppf
-    "(simulated seconds and slowdown vs the unbounded run; s = spilled, \
-     !o = OOM retries, +r = map-join fell back to repartition, * = result \
-     diverged)@."
-
-let pp_recovery ~engines ppf (sweep : Experiment.recovery) =
-  let module Checkpoint = Rapida_mapred.Checkpoint in
-  Fmt.pf ppf "@.== checkpoint recovery: %s (seed %d) ==@."
-    sweep.Experiment.r_query.Catalog.id sweep.Experiment.r_seed;
-  Fmt.pf ppf "%-20s" "fault/policy";
-  List.iter (fun k -> Fmt.pf ppf " %22s" (engine_header k)) engines;
+  let rows =
+    List.map
+      (fun setting -> (setting, List.map (fun k -> cell k setting) engines))
+      sweep.Experiment.k_settings
+  in
+  let widest init xs =
+    List.fold_left (fun w x -> max w (String.length x)) (String.length init) xs
+  in
+  let label_w = widest "setting" sweep.Experiment.k_settings in
+  let col_ws =
+    List.mapi
+      (fun i k ->
+        widest (engine_header k)
+          (List.map (fun (_, cells) -> List.nth cells i) rows))
+      engines
+  in
+  Fmt.pf ppf "@.== %s ==@.%-*s" sweep.Experiment.k_title label_w "setting";
+  List.iter2 (fun k w -> Fmt.pf ppf "  %*s" w (engine_header k)) engines col_ws;
   Fmt.pf ppf "@.";
   List.iter
-    (fun rate ->
-      List.iter
-        (fun policy ->
-          Fmt.pf ppf "%-20s"
-            (Fmt.str "%g %a" rate Checkpoint.pp_policy policy);
-          List.iter
-            (fun k ->
-              let cell =
-                match Experiment.recovery_point sweep k rate policy with
-                | None -> "-"
-                | Some p ->
-                  if not p.Experiment.r_completed then "aborted"
-                  else
-                    String.concat ""
-                      [
-                        Printf.sprintf "%.1fs" p.Experiment.r_time_s;
-                        (if p.Experiment.r_recoveries > 0 then
-                           Printf.sprintf " r%d/%.0fs"
-                             p.Experiment.r_recoveries
-                             p.Experiment.r_replayed_s
-                         else "");
-                        (if p.Experiment.r_checkpoints > 0 then
-                           Printf.sprintf " c%d" p.Experiment.r_checkpoints
-                         else "");
-                        (if p.Experiment.r_transparent then "" else "*");
-                      ]
-              in
-              Fmt.pf ppf " %22s" cell)
-            engines;
-          Fmt.pf ppf "@.")
-        sweep.Experiment.r_policies)
-    sweep.Experiment.r_rates;
+    (fun (setting, cells) ->
+      Fmt.pf ppf "%-*s" label_w setting;
+      List.iter2 (fun c w -> Fmt.pf ppf "  %*s" w c) cells col_ws;
+      Fmt.pf ppf "@.")
+    rows;
   Fmt.pf ppf
-    "(simulated seconds; rN/Ms = N recoveries replaying M s since the \
-     last checkpoint, cK = K checkpoints written, aborted = ran out of \
-     retries, * = result diverged)@."
+    "(simulated seconds, KB shuffled, slowdown vs the first setting; s = \
+     spilled, !o = OOM retries, +r = map-join fell back to repartition, \
+     rN/Ms = N recoveries replaying M s since the last checkpoint, cK = K \
+     checkpoints written, aborted = ran out of retries, * = result diverged \
+     from the first setting)@."
 
 let pp_verification ppf runs =
   let total = List.length runs in

@@ -26,13 +26,16 @@ val pp_bytes :
 val pp_phases :
   title:string -> engines:Engine.kind list -> Experiment.run list Fmt.t
 
-(** [pp_degradation ~engines deg] renders a fault-injection degradation
-    sweep: a row per fault rate, a column per engine showing simulated
-    seconds and the slowdown over that engine's fault-free run.
-    [aborted] marks a workflow that ran out of retries; a trailing [*]
-    marks a (would-be-transparency-violating) diverged result. *)
-val pp_degradation :
-  engines:Engine.kind list -> Experiment.degradation Fmt.t
+(** [pp_knob_sweep ~engines sweep] renders a one-knob sweep: a row per
+    setting, a column per engine showing simulated seconds, KB shuffled
+    and the slowdown over that engine's first-setting run. Flags: [s]
+    when the engine spilled, [!o] when tasks were OOM-killed (and rerun
+    with the combiner disabled), [+r] when a broadcast join fell back to
+    a repartition join, [rN/Ms] when the workflow recovered N times by
+    replaying M simulated seconds since the last checkpoint, [cK] when K
+    checkpoints were written, and a trailing [*] on a result that
+    diverged from the first setting's. [aborted] marks a failed run. *)
+val pp_knob_sweep : engines:Engine.kind list -> Experiment.knob_sweep Fmt.t
 
 (** [pp_verification runs] summarizes cross-engine agreement. *)
 val pp_verification : Experiment.run list Fmt.t
@@ -42,26 +45,6 @@ val pp_verification : Experiment.run list Fmt.t
 val speedup :
   Experiment.run -> baseline:Engine.kind -> target:Engine.kind ->
   float option
-
-(** [pp_memory ~engines sweep] renders a memory-budget sweep: a row per
-    heap budget, a column per engine showing simulated seconds and the
-    slowdown over that engine's unbounded run, flagged with [s] when the
-    engine spilled, [!o] when tasks were OOM-killed (and rerun with the
-    combiner disabled), [+r] when a broadcast join fell back to a
-    repartition join, and a trailing [*] on a
-    (would-be-transparency-violating) diverged result. *)
-val pp_memory :
-  engines:Engine.kind list -> Experiment.memory_sweep Fmt.t
-
-(** [pp_recovery ~engines sweep] renders a checkpoint-recovery sweep: a
-    row per fault-rate/policy pair, a column per engine showing
-    simulated seconds, [rN/Ms] when the workflow recovered N times by
-    replaying M simulated seconds since the last checkpoint, and [cK]
-    when K checkpoints were written. [aborted] marks a workflow that ran
-    out of retries (reachable only under the [Never] policy); a trailing
-    [*] marks a (would-be-transparency-violating) diverged result. *)
-val pp_recovery :
-  engines:Engine.kind list -> Experiment.recovery Fmt.t
 
 (** [pp_throughput sweep] renders a query-server throughput sweep: a row
     per (admission window, scheduler policy, sharing) setting showing

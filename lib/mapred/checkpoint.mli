@@ -25,8 +25,8 @@
       un-materialized output have accumulated ([budget >= 1]) — cheap
       jobs ride for free, expensive outputs are protected. With an
       unreachable budget this is "recovery on, checkpoints off": a
-      failure replays the whole plan, which is the reference point
-      {!Experiment.recovery_sweep} compares savings against. *)
+      failure replays the whole plan, the cost of naive whole-plan
+      resubmission. *)
 type policy = Never | Every_k of int | Adaptive of int
 
 type config = {

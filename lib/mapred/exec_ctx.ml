@@ -19,8 +19,6 @@ type t = {
   faults : Fault_injector.t;
   checkpoint : Checkpoint.config;
   verify_plans : bool;
-  analyze : bool;
-  optimize : bool;
   join_orders : (int * int list) list;
   metrics : Metrics.t;
   trace : Trace.t;
@@ -29,15 +27,13 @@ type t = {
 let create ?(cluster = Cluster.default) ?(planner = default_planner)
     ?(faults = Fault_injector.create Fault_injector.default)
     ?(checkpoint = Checkpoint.default) ?(verify_plans = false)
-    ?(analyze = false) ?(optimize = false) ?(join_orders = []) () =
+    ?(join_orders = []) () =
   {
     cluster;
     planner;
     faults;
     checkpoint = Checkpoint.create checkpoint;
     verify_plans;
-    analyze;
-    optimize;
     join_orders;
     metrics = Metrics.create ();
     trace = Trace.create ();
@@ -48,8 +44,6 @@ let planner t = t.planner
 let faults t = t.faults
 let checkpoint t = t.checkpoint
 let verify_plans t = t.verify_plans
-let analyze t = t.analyze
-let optimize t = t.optimize
 let join_order t key = List.assoc_opt key t.join_orders
 let metrics t = t.metrics
 let trace t = t.trace

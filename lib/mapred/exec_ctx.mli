@@ -28,12 +28,12 @@ val default_planner : planner
 
 type t
 
-(** [create ?cluster ?planner ?faults ?checkpoint ?verify_plans ()] is a
-    fresh context with empty metrics and trace. Defaults:
-    {!Cluster.default}, {!default_planner}, an inactive
+(** [create ?cluster ?planner ?faults ?checkpoint ?verify_plans
+    ?join_orders ()] is a fresh context with empty metrics and trace.
+    Defaults: {!Cluster.default}, {!default_planner}, an inactive
     {!Fault_injector.t} (healthy cluster), {!Checkpoint.default} (no
-    checkpoints, no recovery), [verify_plans = false], and
-    [analyze = false].
+    checkpoints, no recovery), [verify_plans = false], and no join-order
+    hints.
 
     @raise Invalid_argument on an invalid [checkpoint] config. *)
 val create :
@@ -42,8 +42,6 @@ val create :
   ?faults:Fault_injector.t ->
   ?checkpoint:Checkpoint.config ->
   ?verify_plans:bool ->
-  ?analyze:bool ->
-  ?optimize:bool ->
   ?join_orders:(int * int list) list ->
   unit ->
   t
@@ -66,22 +64,6 @@ val checkpoint : t -> Checkpoint.config
     Verification is pure and out-of-band — it runs no simulated jobs, so
     enabling it never perturbs the cost model. *)
 val verify_plans : t -> bool
-
-(** When set, the caller wants the static cardinality analysis
-    ([Rapida_analysis.Card_analysis]) reported alongside this
-    execution — the [query --analyze] hook. Off by default; engines
-    never read it, so execution and the cost model are byte-identical
-    either way. The flag merely travels with the context so front ends
-    can decide after the run whether to compare predicted and actual
-    cardinalities. *)
-val analyze : t -> bool
-
-(** When set, the cost-based planner ([Rapida_planner]) is armed: the
-    engines consult {!join_order} for enumerated star-join orders and
-    front ends surface plan-cache / misestimate counters. Off by
-    default; with it off (and [join_orders = []]) execution is
-    byte-identical to a context without the optimizer layer. *)
-val optimize : t -> bool
 
 (** [join_order t key] is the optimizer-chosen star-id join order for
     the subquery (or composite) identified by [key], if any. Keys are

@@ -169,7 +169,7 @@ let plan ?(policy = Cost_model.Worst_case) ?(cluster = Cluster.default) catalog
   }
 
 let apply d options =
-  Plan_util.make ~base:options ~optimize:true ~join_orders:d.d_join_orders ()
+  Plan_util.make ~base:options ~join_orders:d.d_join_orders ()
 
 (* --- cached planning --------------------------------------------------- *)
 

@@ -10,9 +10,8 @@
     [Plan_verify.verify_join_order] before it can execute; a rejected
     order falls back to the verified heuristic plan, never an abort.
     The resulting hints travel to the engines as
-    [Plan_util.options.join_orders] (see {!apply}); with the [optimize]
-    bit off the engines never consult them and execution is
-    byte-identical to the heuristic planner. *)
+    [Plan_util.options.join_orders] (see {!apply}); with no hints
+    installed execution is byte-identical to the heuristic planner. *)
 
 module Star = Rapida_sparql.Star
 module Analytical = Rapida_sparql.Analytical
@@ -83,8 +82,8 @@ val plan :
   Analytical.t ->
   decision
 
-(** [apply d options] arms [options] with the decision: sets [optimize]
-    and installs [d]'s verified join-order hints. *)
+(** [apply d options] arms [options] with the decision: installs [d]'s
+    verified join-order hints. *)
 val apply :
   decision -> Rapida_core.Plan_util.options -> Rapida_core.Plan_util.options
 

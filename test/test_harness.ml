@@ -94,6 +94,68 @@ let test_engine_subset () =
   in
   check_int "one engine" 1 (List.length run.Experiment.results)
 
+(* One-knob sweeps: BSBM MG1 under no faults, a 10% crash/straggler
+   rate, and a 4 KiB heap, on all four engines. *)
+let rate r o =
+  Plan_util.make ~base:o
+    ~faults:
+      {
+        Rapida_mapred.Fault_injector.default with
+        seed = 7;
+        task_fail_p = r;
+        straggler_p = r;
+        job_retries = 2;
+      }
+    ()
+
+let heap bytes o =
+  let module Memory = Rapida_mapred.Memory in
+  let mem =
+    {
+      Memory.default with
+      task_heap_bytes = bytes;
+      sort_buffer_bytes = bytes / 4;
+    }
+  in
+  Plan_util.make ~base:o
+    ~cluster:(Rapida_mapred.Cluster.with_memory o.Plan_util.cluster mem)
+    ()
+
+let test_knob_sweep () =
+  let sweep =
+    Experiment.knob_sweep ~title:"T"
+      ~settings:
+        [ ("rate 0", rate 0.0); ("rate 0.1", rate 0.1); ("4K", heap 4096) ]
+      options (Lazy.force input) (Catalog.find_exn "MG1")
+  in
+  check_int "settings x engines" 12 (List.length sweep.Experiment.k_points);
+  List.iter
+    (fun (p : Experiment.knob_point) ->
+      if p.k_setting = "rate 0" then begin
+        check_bool "first setting slowdown is 1" true (p.k_slowdown = 1.0);
+        check_bool "first setting transparent" true p.k_transparent
+      end;
+      match p.k_result with
+      | Error _ ->
+        check_bool "only faulty runs may abort" true (p.k_setting = "rate 0.1")
+      | Ok { Engine.stats; _ } ->
+        check_bool "completed point transparent" true p.k_transparent;
+        if p.k_setting = "4K" then
+          check_bool "4K spills" true
+            (Rapida_mapred.Stats.total_spill_passes stats > 0))
+    sweep.Experiment.k_points;
+  let text =
+    Fmt.str "%a" (Report.pp_knob_sweep ~engines:Engine.all_kinds) sweep
+  in
+  check_bool "report renders" true (contains ~needle:"(1.00x)" text)
+
+let test_knob_sweep_no_settings () =
+  Alcotest.check_raises "empty settings"
+    (Invalid_argument "knob_sweep: no settings") (fun () ->
+      ignore
+        (Experiment.knob_sweep ~title:"T" ~settings:[] options
+           (Lazy.force input) (Catalog.find_exn "MG1")))
+
 let suite =
   [
     Alcotest.test_case "run collects all engines" `Quick test_run_collects_all_engines;
@@ -101,4 +163,7 @@ let suite =
     Alcotest.test_case "speedup" `Quick test_speedup;
     Alcotest.test_case "reports render" `Quick test_reports_render;
     Alcotest.test_case "engine subset" `Quick test_engine_subset;
+    Alcotest.test_case "knob sweep" `Quick test_knob_sweep;
+    Alcotest.test_case "knob sweep needs settings" `Quick
+      test_knob_sweep_no_settings;
   ]
