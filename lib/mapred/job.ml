@@ -341,6 +341,8 @@ let run ?(attempt = 0) ctx spec input =
   let oom_events = ref [] in
   let map_spilled_bytes = ref 0 in
   let map_spill_passes = ref 0 in
+  let shuffle_records = ref 0 in
+  let shuffle_bytes = ref 0 in
   let shuffle_pairs =
     List.concat
       (List.mapi
@@ -376,6 +378,8 @@ let run ?(attempt = 0) ctx spec input =
                  in
                  (out, pairs_bytes out)
              in
+             shuffle_records := !shuffle_records + List.length out;
+             shuffle_bytes := !shuffle_bytes + out_bytes;
              let passes =
                Memory.spill_passes ~budget_bytes:spill_budget
                  ~data_bytes:out_bytes
@@ -448,12 +452,8 @@ let run ?(attempt = 0) ctx spec input =
         (cluster.Cluster.job_startup_s +. map_sim.Fault_injector.elapsed_s
         +. skip_s)
   | _ -> ());
-  let shuffle_records = List.length shuffle_pairs in
-  let shuffle_bytes =
-    List.fold_left
-      (fun acc (k, v) -> acc + spec.key_size k + spec.value_size v + 12)
-      0 shuffle_pairs
-  in
+  let shuffle_records = !shuffle_records in
+  let shuffle_bytes = !shuffle_bytes in
   (* Shuffle + reduce. *)
   let groups = group_pairs shuffle_pairs in
   let reduce_tasks =

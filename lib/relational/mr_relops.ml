@@ -76,10 +76,7 @@ let map_join wf ?(kind = `Inner) ~name ~big ~small () =
   let spec : (Table.row, Table.row) Job.map_only_spec =
     {
       mo_name = name;
-      mo_map =
-        (fun row ->
-          let single = { big with Table.rows = [ row ] } in
-          (Relops.hash_join ~kind ~name single small).Table.rows);
+      mo_map = Relops.hash_probe ~kind big small;
       mo_input_size = Table.row_size_bytes;
       mo_output_size = Table.row_size_bytes;
     }

@@ -14,7 +14,11 @@ val repartition_join :
   name:string -> Table.t -> Table.t -> Table.t
 
 (** [map_join wf ~name ~big ~small] broadcasts [small] to all mappers.
-    [small] must be the right side of the natural join. *)
+    [small] must be the right side of the natural join. The broadcast
+    table's hash index ({!Relops.hash_probe}) is built once per join,
+    like Hive's per-task MapJoin hash table, and every [big] row probes
+    it; that single broadcast is what the cost model prices. The rows
+    and their order are those of {!Relops.hash_join}. *)
 val map_join :
   Rapida_mapred.Workflow.t ->
   ?kind:[ `Inner | `Left_outer ] ->

@@ -56,7 +56,7 @@ let key_of_row t cols row =
   in
   go [] cols
 
-let hash_join ?(kind = `Inner) ~name a b =
+let hash_probe ?(kind = `Inner) a b =
   let shared = shared_cols a b in
   let index = Hashtbl.create (max 16 (Table.cardinality b)) in
   List.iter
@@ -67,22 +67,21 @@ let hash_join ?(kind = `Inner) ~name a b =
         Hashtbl.replace index key (row :: existing)
       | None -> ())
     b.Table.rows;
-  let rows =
-    List.concat_map
-      (fun left_row ->
-        let matches =
-          match key_of_row a shared left_row with
-          | Some key ->
-            Option.value ~default:[] (Hashtbl.find_opt index key) |> List.rev
-          | None -> []
-        in
-        match matches, kind with
-        | [], `Inner -> []
-        | [], `Left_outer -> [ null_extend a b ~left_row ]
-        | rows, (`Inner | `Left_outer) ->
-          List.map (fun right_row -> merge_rows a b ~left_row ~right_row) rows)
-      a.Table.rows
-  in
+  fun left_row ->
+    let matches =
+      match key_of_row a shared left_row with
+      | Some key ->
+        Option.value ~default:[] (Hashtbl.find_opt index key) |> List.rev
+      | None -> []
+    in
+    match matches, kind with
+    | [], `Inner -> []
+    | [], `Left_outer -> [ null_extend a b ~left_row ]
+    | rows, (`Inner | `Left_outer) ->
+      List.map (fun right_row -> merge_rows a b ~left_row ~right_row) rows
+
+let hash_join ?kind ~name a b =
+  let rows = List.concat_map (hash_probe ?kind a b) a.Table.rows in
   Table.make ~name ~schema:(join_schema a b) rows
 
 (* Group keys are option lists so NULLs group together (SQL semantics). *)

@@ -46,8 +46,20 @@ val null_extend : Table.t -> Table.t -> left_row:Table.row -> Table.row
     NULL (NULL never equi-joins). *)
 val key_of_row : Table.t -> string list -> Table.row -> Term.t list option
 
-(** [hash_join ?kind ~name a b] is the natural join. NULL keys do not
-    match; with [`Left_outer], unmatched left rows survive NULL-padded. *)
+(** [hash_probe ?kind a b] indexes [b] on the shared columns and
+    returns the probe that joins one row of [a] against that index. The
+    index is built once, when [hash_probe ?kind a b] is partially
+    applied, so bind the probe before mapping it over many rows. Each
+    call returns the row's matches in [b]'s row order, merged into
+    [join_schema a b]. A row with a NULL key matches nothing; with
+    [`Left_outer], a row with no match comes back NULL-padded. *)
+val hash_probe :
+  ?kind:[ `Inner | `Left_outer ] -> Table.t -> Table.t -> Table.row ->
+  Table.row list
+
+(** [hash_join ?kind ~name a b] is the natural join: {!hash_probe} mapped
+    over [a]'s rows. NULL keys do not match; with [`Left_outer],
+    unmatched left rows survive NULL-padded. *)
 val hash_join :
   ?kind:[ `Inner | `Left_outer ] -> name:string -> Table.t -> Table.t ->
   Table.t

@@ -215,6 +215,61 @@ let prop_map_join_matches =
       let got = Mr_relops.map_join (wf ()) ~name:"g" ~big:a ~small:b () in
       Relops.same_results expected got)
 
+(* Two shared key columns, in a different order on each side, and NULL
+   keys in either; the map join must return [hash_join]'s rows in
+   [hash_join]'s order, not merely the same multiset. *)
+let gen_key2_table ~schema =
+  let gen_cell = QCheck2.Gen.(opt ~ratio:0.85 (map Term.int (0 -- 3))) in
+  QCheck2.Gen.(
+    map
+      (fun rows ->
+        Table.make ~name:"g" ~schema
+          (List.map (fun (a, b, v) -> [| a; b; Some v |]) rows))
+      (list_size (0 -- 25) (triple gen_cell gen_cell gen_val)))
+
+let same_rows_in_order x y =
+  x.Table.schema = y.Table.schema
+  && List.equal
+       (fun r s -> Relops.row_compare r s = 0)
+       x.Table.rows y.Table.rows
+
+let prop_map_join_exact kind label =
+  QCheck2.Test.make ~count:200
+    ~name:(Printf.sprintf "map join = hash join, rows in order (%s)" label)
+    QCheck2.Gen.(
+      pair
+        (gen_key2_table ~schema:[ "k1"; "k2"; "x" ])
+        (gen_key2_table ~schema:[ "k2"; "k1"; "y" ]))
+    (fun (a, b) ->
+      let expected = Relops.hash_join ~kind ~name:"g" a b in
+      let got = Mr_relops.map_join (wf ()) ~kind ~name:"g" ~big:a ~small:b () in
+      same_rows_in_order expected got)
+
+(* The broadcast side is indexed once per join, not once per probe row:
+   the map join allocates about what the in-memory hash join does. *)
+let test_map_join_builds_once () =
+  let int_table name col n key =
+    Table.make ~name ~schema:[ "k"; col ]
+      (List.init n (fun i -> [| Some (Term.int (key i)); Some (Term.int i) |]))
+  in
+  let big = int_table "big" "x" 2000 (fun i -> i mod 1000) in
+  let small = int_table "small" "y" 1000 Fun.id in
+  let minor_words f =
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (f ()));
+    Gc.minor_words () -. before
+  in
+  let in_memory =
+    minor_words (fun () -> Relops.hash_join ~name:"j" big small)
+  in
+  let w = wf () in
+  let broadcast =
+    minor_words (fun () -> Mr_relops.map_join w ~name:"j" ~big ~small ())
+  in
+  if broadcast > 3.0 *. in_memory then
+    Alcotest.failf "map join allocated %.0f minor words, hash join %.0f"
+      broadcast in_memory
+
 let prop_group_aggregate_matches =
   QCheck2.Test.make ~count:200 ~name:"MR group-by = in-memory group-by"
     (gen_table ~schema:["k";"v"])
@@ -252,6 +307,10 @@ let suite =
     QCheck_alcotest.to_alcotest prop_repartition_join_matches;
     QCheck_alcotest.to_alcotest prop_left_outer_matches;
     QCheck_alcotest.to_alcotest prop_map_join_matches;
+    QCheck_alcotest.to_alcotest (prop_map_join_exact `Inner "inner");
+    QCheck_alcotest.to_alcotest (prop_map_join_exact `Left_outer "left outer");
+    Alcotest.test_case "map join builds its index once" `Quick
+      test_map_join_builds_once;
     QCheck_alcotest.to_alcotest prop_group_aggregate_matches;
     QCheck_alcotest.to_alcotest prop_distinct_project_matches;
   ]
