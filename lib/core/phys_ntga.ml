@@ -88,12 +88,37 @@ let join_cycle wf ~name ~left ~right ~left_key ~right_key ~keep =
 
 type agj = {
   agj_id : int;
-  stars : (int * Star.t) list;
+  matcher : Tg_match.t;
   filters : Ast.expr list;
   group_by : Ast.var list;
   aggregates : Analytical.aggregate list;
+  key : (Term.t option array -> Term.t option) list;
+  args : (Term.t option array -> Term.t option) list;
   alpha : Joined.t -> bool;
 }
+
+let agj ~id ~stars ~filters ~group_by ~aggregates ~alpha =
+  let matcher = Tg_match.compile stars in
+  let read v =
+    match Tg_match.slot matcher v with
+    | Some i -> fun b -> b.(i)
+    | None -> fun _ -> None
+  in
+  let one = Some (Term.int 1) in
+  {
+    agj_id = id;
+    matcher;
+    filters;
+    group_by;
+    aggregates;
+    key = List.map read group_by;
+    args =
+      List.map
+        (fun (a : Analytical.aggregate) ->
+          match a.arg with None -> fun _ -> one | Some v -> read v)
+        aggregates;
+    alpha;
+  }
 
 let init_states agj =
   List.map
@@ -107,29 +132,23 @@ let merge_states = List.map2 Aggregate.merge
    the implicit n-split plus per-mapper hash aggregation of Algorithm 3. *)
 let contributions agj joined =
   if not (agj.alpha joined) then []
-  else
-    let bindings = Tg_match.joined_bindings agj.stars joined in
-    let bindings =
-      List.filter
-        (fun b -> List.for_all (Binding.eval_filter b) agj.filters)
-        bindings
-    in
-    List.map
-      (fun b ->
-        let key = List.map (fun v -> Binding.lookup b v) agj.group_by in
-        let states =
-          List.map2
-            (fun state (a : Analytical.aggregate) ->
-              let v =
-                match a.arg with
-                | None -> Some (Term.int 1)
-                | Some var -> Binding.lookup b var
-              in
-              Aggregate.add state v)
-            (init_states agj) agj.aggregates
+  else begin
+    let out = ref [] in
+    Tg_match.iter agj.matcher joined (fun b ->
+        let lookup v =
+          match Tg_match.slot agj.matcher v with Some i -> b.(i) | None -> None
         in
-        ((agj.agj_id, key), states))
-      bindings
+        if List.for_all (Binding.eval_filter_with lookup) agj.filters then begin
+          let key = List.map (fun read -> read b) agj.key in
+          let states =
+            List.map2
+              (fun state read -> Aggregate.add state (read b))
+              (init_states agj) agj.args
+          in
+          out := ((agj.agj_id, key), states) :: !out
+        end);
+    List.rev !out
+  end
 
 let key_size (_, key) =
   List.fold_left

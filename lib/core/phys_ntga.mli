@@ -37,17 +37,19 @@ val join_cycle :
   left_key:Ops.join_key -> right_key:Ops.join_key ->
   keep:(Joined.t -> bool) -> Joined.t list
 
-(** One Agg-Join of a multi-aggregation cycle. [stars] maps joined-part
-    indexes to the original star patterns whose bindings drive the
-    grouping (the n-split, performed implicitly per Algorithm 3). *)
-type agj = {
-  agj_id : int;
-  stars : (int * Star.t) list;
-  filters : Ast.expr list;
-  group_by : Ast.var list;
-  aggregates : Analytical.aggregate list;
-  alpha : Joined.t -> bool;
-}
+(** One Agg-Join of a multi-aggregation cycle, with its star patterns
+    compiled for the implicit n-split of Algorithm 3. *)
+type agj
+
+(** [agj ~id ~stars ~filters ~group_by ~aggregates ~alpha] compiles one
+    Agg-Join. [stars] maps joined-part indexes to the original star
+    patterns whose bindings drive the grouping; [filters] are evaluated
+    on every binding; [alpha] drops joined triplegroups that do not match
+    the Agg-Join's pattern. *)
+val agj :
+  id:int -> stars:(int * Star.t) list -> filters:Ast.expr list ->
+  group_by:Ast.var list -> aggregates:Analytical.aggregate list ->
+  alpha:(Joined.t -> bool) -> agj
 
 (** [agg_cycle wf ~name ~combiner ~input agjs] evaluates all Agg-Joins
     over the same detail input in a single MR cycle and returns one

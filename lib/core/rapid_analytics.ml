@@ -158,14 +158,8 @@ let agjs_of planner composite (q : Analytical.t) =
             sq.filters
         | _ -> sq.filters
       in
-      {
-        Phys_ntga.agj_id = sq.sq_id;
-        stars;
-        filters;
-        group_by = sq.group_by;
-        aggregates = sq.aggregates;
-        alpha = Composite.alpha_holds info.alpha;
-      })
+      Phys_ntga.agj ~id:sq.sq_id ~stars ~filters ~group_by:sq.group_by
+        ~aggregates:sq.aggregates ~alpha:(Composite.alpha_holds info.alpha))
     q.subqueries
 
 let run_composite ctx store (q : Analytical.t) composite =

@@ -174,15 +174,11 @@ let eval_pattern wf store (sq : Analytical.subquery) =
 let eval_subquery wf store (sq : Analytical.subquery) =
   let planner = Exec_ctx.planner (Workflow.ctx wf) in
   let joined = eval_pattern wf store sq in
-  let agj : Phys_ntga.agj =
-    {
-      agj_id = sq.sq_id;
-      stars = List.map (fun (s : Star.t) -> (s.id, s)) sq.stars;
-      filters = pending_filters planner sq.stars sq.filters;
-      group_by = sq.group_by;
-      aggregates = sq.aggregates;
-      alpha = (fun _ -> true);
-    }
+  let agj =
+    Phys_ntga.agj ~id:sq.sq_id
+      ~stars:(List.map (fun (s : Star.t) -> (s.id, s)) sq.stars)
+      ~filters:(pending_filters planner sq.stars sq.filters)
+      ~group_by:sq.group_by ~aggregates:sq.aggregates ~alpha:(fun _ -> true)
   in
   match
     Phys_ntga.agg_cycle wf

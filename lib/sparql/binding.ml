@@ -54,33 +54,32 @@ let compare_terms a b : int option =
     | Term.Iri x, Term.Iri y -> Some (String.compare x y)
     | _ -> None)
 
-let contains_ci ~needle hay =
-  let lower = String.lowercase_ascii in
-  let n = lower needle and h = lower hay in
-  let nl = String.length n and hl = String.length h in
-  if nl = 0 then true
-  else
-    let rec go i = i + nl <= hl && (String.sub h i nl = n || go (i + 1)) in
-    go 0
-
-let contains ~needle hay =
+(* [needle] occurs in [hay] at some position, comparing characters with
+   [eq hay_char needle_char] in place. *)
+let occurs ~eq needle hay =
   let nl = String.length needle and hl = String.length hay in
-  if nl = 0 then true
-  else
-    let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-    go 0
+  let rec at i j = j = nl || (eq hay.[i + j] needle.[j] && at i (j + 1)) in
+  let rec go i = i + nl <= hl && (at i 0 || go (i + 1)) in
+  go 0
 
-let rec eval_expr binding (e : Ast.expr) : Term.t option =
+let contains ~needle hay = occurs ~eq:Char.equal needle hay
+
+let contains_ci ~needle hay =
+  occurs
+    ~eq:(fun h n -> Char.equal (Char.lowercase_ascii h) n)
+    (String.lowercase_ascii needle) hay
+
+let rec eval_expr_with lookup (e : Ast.expr) : Term.t option =
   match e with
-  | Ast.Evar v -> lookup binding v
+  | Ast.Evar v -> lookup v
   | Ast.Eterm t -> Some t
   | Ast.Enot e -> (
-    match eval_expr binding e with
+    match eval_expr_with lookup e with
     | Some t -> Some (bool_term (not (term_truth t)))
     | None -> None)
   | Ast.Eagg _ -> None (* aggregates are evaluated by the engines *)
   | Ast.Eregex (e, pattern, flags) -> (
-    match eval_expr binding e with
+    match eval_expr_with lookup e with
     | Some t ->
       let hay = Term.lexical t in
       let matched =
@@ -93,15 +92,15 @@ let rec eval_expr binding (e : Ast.expr) : Term.t option =
   | Ast.Ebin (op, a, b) -> (
     match op with
     | Ast.And -> (
-      match eval_expr binding a, eval_expr binding b with
+      match eval_expr_with lookup a, eval_expr_with lookup b with
       | Some x, Some y -> Some (bool_term (term_truth x && term_truth y))
       | _ -> None)
     | Ast.Or -> (
-      match eval_expr binding a, eval_expr binding b with
+      match eval_expr_with lookup a, eval_expr_with lookup b with
       | Some x, Some y -> Some (bool_term (term_truth x || term_truth y))
       | _ -> None)
     | Ast.Eq | Ast.Ne -> (
-      match eval_expr binding a, eval_expr binding b with
+      match eval_expr_with lookup a, eval_expr_with lookup b with
       | Some x, Some y ->
         let eq =
           match compare_terms x y with
@@ -111,7 +110,7 @@ let rec eval_expr binding (e : Ast.expr) : Term.t option =
         Some (bool_term (if op = Ast.Eq then eq else not eq))
       | _ -> None)
     | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge -> (
-      match eval_expr binding a, eval_expr binding b with
+      match eval_expr_with lookup a, eval_expr_with lookup b with
       | Some x, Some y -> (
         match compare_terms x y with
         | None -> None
@@ -127,7 +126,7 @@ let rec eval_expr binding (e : Ast.expr) : Term.t option =
           Some (bool_term r))
       | _ -> None)
     | Ast.Add | Ast.Sub | Ast.Mul | Ast.Div -> (
-      match eval_expr binding a, eval_expr binding b with
+      match eval_expr_with lookup a, eval_expr_with lookup b with
       | Some x, Some y -> (
         match Term.as_number x, Term.as_number y with
         | Some fx, Some fy ->
@@ -143,8 +142,11 @@ let rec eval_expr binding (e : Ast.expr) : Term.t option =
         | _ -> None)
       | _ -> None))
 
-let eval_filter binding e =
-  match eval_expr binding e with Some t -> term_truth t | None -> false
+let eval_filter_with lookup e =
+  match eval_expr_with lookup e with Some t -> term_truth t | None -> false
+
+let eval_expr binding = eval_expr_with (lookup binding)
+let eval_filter binding = eval_filter_with (lookup binding)
 
 let pp ppf b =
   Fmt.pf ppf "{%a}"

@@ -27,13 +27,27 @@ val merge : t -> t -> t
     triple pattern against a concrete triple, or [None] on mismatch. *)
 val match_triple : Ast.triple_pattern -> Triple.t -> t -> t option
 
-(** [eval_expr binding e] evaluates a non-aggregate expression to a term.
-    [None] signals an evaluation error (unbound variable, bad types). *)
+(** [eval_expr_with lookup e] evaluates a non-aggregate expression to a
+    term, reading variables through [lookup]. [None] signals an
+    evaluation error (unbound variable, bad types). *)
+val eval_expr_with : (Ast.var -> Term.t option) -> Ast.expr -> Term.t option
+
+(** [eval_filter_with lookup e] is the effective boolean value of [e],
+    with errors collapsed to [false]. *)
+val eval_filter_with : (Ast.var -> Term.t option) -> Ast.expr -> bool
+
+(** [eval_expr binding e] is [eval_expr_with (lookup binding) e]. *)
 val eval_expr : t -> Ast.expr -> Term.t option
 
-(** [eval_filter binding e] is the effective boolean value of [e], with
-    errors collapsed to [false]. *)
+(** [eval_filter binding e] is [eval_filter_with (lookup binding) e]. *)
 val eval_filter : t -> Ast.expr -> bool
+
+(** [contains ~needle hay] holds when [needle] is a substring of [hay]
+    (the empty needle occurs everywhere). *)
+val contains : needle:string -> string -> bool
+
+(** [contains_ci ~needle hay] is [contains] up to ASCII case. *)
+val contains_ci : needle:string -> string -> bool
 
 (** [term_truth t] is the SPARQL effective boolean value of a term. *)
 val term_truth : Term.t -> bool

@@ -8,6 +8,7 @@ module Triple = Rapida_rdf.Triple
 module Graph = Rapida_rdf.Graph
 module Ast = Rapida_sparql.Ast
 module Star = Rapida_sparql.Star
+module Binding = Rapida_sparql.Binding
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -231,7 +232,14 @@ let test_agg_join_figure5 () =
     Alcotest.(check string) "empty count" "0" (Term.lexical count)
   | _ -> Alcotest.fail "expected defaults"
 
-(* tg_match: multi-valued properties unfold into several bindings. *)
+(* tg_match: the compiled matcher's bindings, copied out as a list. *)
+let compiled_bindings stars joined =
+  let acc = ref [] in
+  Tg_match.iter (Tg_match.compile stars) joined (fun b ->
+      acc := Array.copy b :: !acc);
+  List.rev !acc
+
+(* Multi-valued properties unfold into several bindings. *)
 let test_tg_match_multivalued () =
   let pf = p "pf" in
   let g = tg "s" [ t "s" pf (iri "f1"); t "s" pf (iri "f2"); t "s" price (Term.int 9) ] in
@@ -241,9 +249,12 @@ let test_tg_match_multivalued () =
          [ { Ast.tp_s = Ast.Nvar "s"; tp_p = Ast.Nterm pf; tp_o = Ast.Nvar "f" };
            { Ast.tp_s = Ast.Nvar "s"; tp_p = Ast.Nterm price; tp_o = Ast.Nvar "pr" } ])
   in
-  let bindings = Tg_match.star_bindings star g in
+  let m = Tg_match.compile [ (0, star) ] in
+  let f = Option.get (Tg_match.slot m "f") in
+  let bindings = compiled_bindings [ (0, star) ] (Joined.of_tg 0 g) in
   check_int "two bindings" 2 (List.length bindings);
-  check_bool "matches" true (Tg_match.matches_star star g)
+  check_bool "in triple order" true
+    (List.map (fun b -> b.(f)) bindings = [ Some (iri "f1"); Some (iri "f2") ])
 
 let test_tg_match_constant_object () =
   let star =
@@ -251,8 +262,179 @@ let test_tg_match_constant_object () =
       (Star.decompose
          [ { Ast.tp_s = Ast.Nvar "s"; tp_p = Ast.Nterm product; tp_o = Ast.Nterm (iri "p1") } ])
   in
-  check_bool "tg1 matches product=p1" true (Tg_match.matches_star star tg1);
-  check_bool "tg2 does not" false (Tg_match.matches_star star tg2)
+  let matches g = compiled_bindings [ (0, star) ] (Joined.of_tg 0 g) <> [] in
+  check_bool "tg1 matches product=p1" true (matches tg1);
+  check_bool "tg2 does not" false (matches tg2)
+
+(* The list matcher the compiled one replaced, kept as the reference:
+   per star, extend association-list bindings one triple pattern at a
+   time; then cross the stars' bindings pairwise, keeping compatible
+   merges. *)
+let ref_star_bindings (star : Star.t) (g : Triplegroup.t) =
+  let rec go bindings = function
+    | [] -> bindings
+    | tp :: rest ->
+      let extended =
+        List.concat_map
+          (fun b ->
+            List.filter_map
+              (fun triple -> Binding.match_triple tp triple b)
+              g.Triplegroup.triples)
+          bindings
+      in
+      if extended = [] then [] else go extended rest
+  in
+  go [ Binding.empty ] star.Star.patterns
+
+let ref_joined_bindings stars joined =
+  let per_part =
+    List.filter_map
+      (fun (i, star) ->
+        Option.map (ref_star_bindings star) (Joined.part joined i))
+      stars
+  in
+  List.fold_left
+    (fun acc bindings ->
+      List.concat_map
+        (fun a ->
+          List.filter_map
+            (fun b ->
+              if Binding.compatible a b then Some (Binding.merge a b) else None)
+            bindings)
+        acc)
+    [ Binding.empty ] per_part
+
+(* Random cases over a tiny vocabulary, so that joins, repeats and
+   multi-valued properties are frequent. Subjects also occur as objects,
+   and variables come from one pool shared by every star. *)
+module Gen = QCheck2.Gen
+
+type case = { stars : (int * Star.t) list; joined : Joined.t }
+
+let subjects = [ iri "a"; iri "b" ]
+let preds = [ p "pa"; p "pb"; p "pc" ]
+let objects = subjects @ [ iri "o"; Term.int 1 ]
+let var_pool = [ "x"; "y"; "z"; "w" ]
+
+let gen_case =
+  let open Gen in
+  let* n_parts = 1 -- 3 in
+  let gen_node ~var_weight terms =
+    frequency
+      [ (var_weight, map (fun v -> Ast.Nvar v) (oneofl var_pool));
+        (10 - var_weight, map (fun t -> Ast.Nterm t) (oneofl terms)) ]
+  in
+  let gen_star id =
+    let* subject = gen_node ~var_weight:7 subjects in
+    let* patterns =
+      list_size (1 -- 3)
+        (let* tp_p = gen_node ~var_weight:2 preds in
+         let* tp_o = gen_node ~var_weight:6 objects in
+         return { Ast.tp_s = subject; tp_p; tp_o })
+    in
+    return { Star.id; subject; patterns }
+  in
+  let gen_part =
+    let* subject = oneofl subjects in
+    let* triples =
+      list_size (1 -- 5)
+        (map2 (fun pr o -> Triple.make subject pr o) (oneofl preds) (oneofl objects))
+    in
+    return (Triplegroup.make subject triples)
+  in
+  let* star_list = flatten_l (List.init n_parts gen_star) in
+  let* stars = shuffle_l (List.map (fun (s : Star.t) -> (s.id, s)) star_list) in
+  (* Part [n_parts] is never listed; any part may be missing. *)
+  let* parts =
+    flatten_l
+      (List.init (n_parts + 1) (fun i ->
+           let* present = frequencyl [ (4, true); (1, false) ] in
+           if present then map (fun g -> Some (i, g)) gen_part else return None))
+  in
+  return { stars; joined = { Joined.parts = List.filter_map Fun.id parts } }
+
+let print_case c =
+  Fmt.str "@[<v>%a@ %a@]"
+    (Fmt.list (fun ppf (i, s) -> Fmt.pf ppf "part %d <- %a" i Star.pp s))
+    c.stars Joined.pp c.joined
+
+(* A binding as its bound (variable, term) pairs, sorted by variable. *)
+let canonical pairs = List.sort (fun (a, _) (b, _) -> String.compare a b) pairs
+
+let compiled_canonical c =
+  let m = Tg_match.compile c.stars in
+  List.map
+    (fun b ->
+      canonical
+        (List.filter_map
+           (fun v ->
+             match Tg_match.slot m v with
+             | Some i -> Option.map (fun t -> (v, t)) b.(i)
+             | None -> None)
+           var_pool))
+    (compiled_bindings c.stars c.joined)
+
+let ref_canonical c = List.map canonical (ref_joined_bindings c.stars c.joined)
+
+let prop_compiled_matches_reference =
+  QCheck2.Test.make ~count:1000 ~name:"compiled matcher = list matcher"
+    ~print:print_case gen_case (fun c ->
+      compiled_canonical c = ref_canonical c)
+
+(* The generator reaches every shape the property is meant to cover, each
+   in a case with at least one binding. *)
+let test_tg_match_generator_coverage () =
+  let var_nodes (tp : Ast.triple_pattern) =
+    List.filter_map
+      (function Ast.Nvar v -> Some v | Ast.Nterm _ -> None)
+      [ tp.tp_s; tp.tp_p; tp.tp_o ]
+  in
+  let star_vars (s : Star.t) =
+    List.sort_uniq String.compare (List.concat_map var_nodes s.patterns)
+  in
+  let is_term = function Ast.Nterm _ -> true | Ast.Nvar _ -> false in
+  let features c =
+    let pats = List.concat_map (fun (_, (s : Star.t)) -> s.patterns) c.stars in
+    let present = List.filter (fun (i, _) -> Joined.part c.joined i <> None) c.stars in
+    let shared =
+      List.exists
+        (fun (i, a) ->
+          List.exists
+            (fun (j, b) -> i < j && List.exists (fun v -> List.mem v (star_vars b)) (star_vars a))
+            present)
+        present
+    in
+    let multivalued =
+      List.exists
+        (fun (_, g) ->
+          List.exists
+            (fun pr -> List.length (Triplegroup.objects_of g pr) > 1)
+            (Triplegroup.props g))
+        c.joined.Joined.parts
+    in
+    [ ("repeated variable in a pattern",
+       List.exists
+         (fun tp ->
+           let vs = var_nodes tp in
+           List.length (List.sort_uniq String.compare vs) < List.length vs)
+         pats);
+      ("variable predicate", List.exists (fun tp -> not (is_term tp.Ast.tp_p)) pats);
+      ("constant subject", List.exists (fun tp -> is_term tp.Ast.tp_s) pats);
+      ("constant object", List.exists (fun tp -> is_term tp.Ast.tp_o) pats);
+      ("variable shared across stars", shared);
+      ("missing listed part", List.length present < List.length c.stars);
+      ("multi-valued property", multivalued) ]
+  in
+  let cases = Gen.generate ~rand:(Random.State.make [| 7 |]) ~n:1000 gen_case in
+  let hit = Hashtbl.create 8 in
+  List.iter
+    (fun c ->
+      if ref_joined_bindings c.stars c.joined <> [] then
+        List.iter (fun (name, b) -> if b then Hashtbl.replace hit name ()) (features c))
+    cases;
+  List.iter
+    (fun (name, _) -> check_bool name true (Hashtbl.mem hit name))
+    (features (List.hd cases))
 
 (* Tg_store: equivalence-class partitioning and scan pruning. *)
 let test_tg_store () =
@@ -292,6 +474,8 @@ let suite =
     Alcotest.test_case "Agg-Join (Fig 5)" `Quick test_agg_join_figure5;
     Alcotest.test_case "tg match multi-valued" `Quick test_tg_match_multivalued;
     Alcotest.test_case "tg match constant object" `Quick test_tg_match_constant_object;
+    Alcotest.test_case "tg match generator coverage" `Quick test_tg_match_generator_coverage;
+    QCheck_alcotest.to_alcotest prop_compiled_matches_reference;
     Alcotest.test_case "tg store" `Quick test_tg_store;
     Alcotest.test_case "joined triplegroups" `Quick test_joined;
   ]

@@ -315,6 +315,28 @@ let test_filter_eval () =
   check_bool "not" true (eval_filter_src b "!(?x > 100)");
   check_bool "division" true (eval_filter_src b "?x / 4 = 2.5")
 
+(* The substring search behind regex filters, at its edges. *)
+let test_substring_search () =
+  let has needle hay = Binding.contains ~needle hay in
+  let has_ci needle hay = Binding.contains_ci ~needle hay in
+  check_bool "empty needle" true (has "" "abc");
+  check_bool "empty needle, empty hay" true (has "" "");
+  check_bool "empty needle ci" true (has_ci "" "");
+  check_bool "needle longer than hay" false (has "abcd" "abc");
+  check_bool "needle longer than hay ci" false (has_ci "ABCD" "abc");
+  check_bool "match at the first position" true (has "ab" "abc");
+  check_bool "match at the last position" true (has "bc" "abc");
+  check_bool "last character" true (has "c" "abc");
+  check_bool "last position ci" true (has_ci "BC" "abc");
+  check_bool "partial match at the end" false (has "cd" "abc");
+  check_bool "no match" false (has "x" "abc");
+  check_bool "whole hay" true (has "abc" "abc");
+  check_bool "case-sensitive" false (has "Abc" "abc");
+  check_bool "folds the needle" true (has_ci "HePaTo" "hepatomegaly");
+  check_bool "folds the hay" true (has_ci "megaly" "HEPATOMEGALY");
+  check_bool "ci still needs a match" false (has_ci "hepatic" "HEPATOMEGALY");
+  check_bool "only ASCII folds" false (has_ci "\xc3\xa9" "\xc3\x89")
+
 (* --- aggregate accumulators ------------------------------------------------ *)
 
 let finish_exn state =
@@ -486,6 +508,7 @@ let suite =
     Alcotest.test_case "analytical errors" `Quick test_analytical_errors;
     Alcotest.test_case "binding merge" `Quick test_binding_merge;
     Alcotest.test_case "filter evaluation" `Quick test_filter_eval;
+    Alcotest.test_case "substring search" `Quick test_substring_search;
     Alcotest.test_case "aggregate basics" `Quick test_aggregate_basics;
     Alcotest.test_case "aggregate unbound" `Quick test_aggregate_unbound_skipped;
     Alcotest.test_case "parse crashers" `Quick test_parse_crashers;
