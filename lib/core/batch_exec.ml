@@ -4,7 +4,6 @@ module Stats = Rapida_mapred.Stats
 module Exec_ctx = Rapida_mapred.Exec_ctx
 module Workflow = Rapida_mapred.Workflow
 module Job = Rapida_mapred.Job
-module Phys_ntga = Phys_ntga
 
 type member = {
   m_index : int;
@@ -119,69 +118,6 @@ let demux wf members tables =
       { t with Table.rows })
     members tables
 
-(* Shared Hive-MQO plan across the group: materialize the pooled
-   composite once, then extract + aggregate per member subquery and
-   final-join per member — the [27]-style rewriting applied between
-   queries instead of between one query's subqueries. *)
-let shared_hive ctx vp composite members =
-  let wf = Workflow.create (Plan_util.hive_ctx ctx) in
-  let q_opt = Hive_mqo.eval_composite wf vp composite in
-  let tables =
-    List.map
-      (fun m ->
-        let per_sq =
-          List.map
-            (fun (sq : Analytical.subquery) ->
-              let info =
-                List.find
-                  (fun (p : Composite.pattern_info) ->
-                    p.Composite.pat_id = sq.Analytical.sq_id)
-                  composite.Composite.patterns
-              in
-              Hive_mqo.extract_and_aggregate wf composite q_opt sq info)
-            m.m_subqueries
-        in
-        Plan_util.final_join wf m.m_query per_sq)
-      members
-  in
-  (wf, demux wf members tables)
-
-(* Shared RAPIDAnalytics plan: one NTGA composite evaluation (scan +
-   group filter + α-joins) and ONE parallel Agg-Join cycle computing
-   every member's every grouping, then per-member finish/final-join. *)
-let shared_ra ctx store composite members =
-  let wf = Workflow.create ctx in
-  let planner = Exec_ctx.planner ctx in
-  let merged =
-    {
-      Analytical.subqueries = pooled_subqueries members;
-      outer_projection = [];
-      order_by = [];
-      limit = None;
-    }
-  in
-  let joined = Rapid_analytics.eval_composite wf merged store composite in
-  let all_tables =
-    Phys_ntga.agg_cycle wf ~name:"parallel_aggjoin"
-      ~combiner:planner.Exec_ctx.ntga_combiner ~input:joined
-      (Rapid_analytics.agjs_of planner composite merged)
-  in
-  let tables, rest =
-    List.fold_left
-      (fun (acc, remaining) m ->
-        let n = List.length m.m_subqueries in
-        let mine = List.filteri (fun i _ -> i < n) remaining in
-        let rest = List.filteri (fun i _ -> i >= n) remaining in
-        let finished =
-          List.map2 Plan_util.finish_subquery m.m_query.Analytical.subqueries
-            mine
-        in
-        (acc @ [ Plan_util.final_join wf m.m_query finished ], rest))
-      ([], all_tables) members
-  in
-  assert (rest = []);
-  (wf, demux wf members tables)
-
 let run_group session ctx group =
   let kind = Engine.session_kind session in
   let input = Engine.session_input session in
@@ -201,35 +137,31 @@ let run_group session ctx group =
     | Ok out -> { outputs = [ Ok out.Engine.table ]; stats = out.Engine.stats }
     | Error e -> { outputs = [ Error e ]; stats = Stats.empty })
   | { g_members = members; g_composite = Some composite } -> (
-    match
-      match kind with
-      | Engine.Hive_mqo ->
-        shared_hive ctx (Engine.input_vp input) composite members
-      | Engine.Rapid_analytics ->
-        shared_ra ctx (Engine.input_tg_store input) composite members
-      | Engine.Hive_naive | Engine.Rapid_plus ->
-        invalid_arg "Batch_exec.run_group: kind does not share"
-    with
-    | wf, tables ->
-      {
-        outputs = List.map2 verify members tables;
-        stats = Workflow.stats wf;
-      }
-    | exception Workflow.Aborted a ->
-      {
-        outputs = List.map (fun _ -> Error (Engine.Job_failed a)) members;
-        stats = Stats.empty;
-      }
-    | exception Failure msg ->
-      {
-        outputs = List.map (fun _ -> Error (Engine.Plan_rejected msg)) members;
-        stats = Stats.empty;
-      }
-    | exception Invalid_argument msg ->
-      {
-        outputs = List.map (fun _ -> Error (Engine.Plan_rejected msg)) members;
-        stats = Stats.empty;
-      })
+    (* One shared composite plan for the group — the engine's own solo
+       composite plan with every member's subqueries pooled — then the
+       demux to per-query channels. *)
+    let shared () =
+      let pairs = List.map (fun m -> (m.m_query, m.m_subqueries)) members in
+      let wf, tables =
+        match kind with
+        | Engine.Hive_mqo ->
+          let wf = Workflow.create (Plan_util.hive_ctx ctx) in
+          (wf, Hive_mqo.shared wf (Engine.input_vp input) composite pairs)
+        | Engine.Rapid_analytics ->
+          let wf = Workflow.create ctx in
+          ( wf,
+            Rapid_analytics.shared wf (Engine.input_tg_store input) composite
+              pairs )
+        | Engine.Hive_naive | Engine.Rapid_plus ->
+          invalid_arg "Batch_exec.run_group: kind does not share"
+      in
+      let tables = demux wf members tables in
+      (tables, Workflow.stats wf)
+    in
+    match Engine.guard shared with
+    | Ok (tables, stats) -> { outputs = List.map2 verify members tables; stats }
+    | Error e ->
+      { outputs = List.map (fun _ -> Error e) members; stats = Stats.empty })
   | { g_members = _ :: _ :: _; g_composite = None } ->
     invalid_arg "Batch_exec.run_group: multi-member group without composite"
   | { g_members = []; _ } ->

@@ -411,6 +411,32 @@ let join_plan ?star_order t =
     ~star_ids:(List.map (fun s -> s.cs_id) t.stars)
     ~edges:t.edges
 
+let left_deep plan ~first ~next =
+  match plan with
+  | Error msg -> failwith msg
+  | Ok [] -> failwith "join plan without edges"
+  | Ok ((e0 : Star.edge) :: rest) ->
+    let seen = Hashtbl.create 8 in
+    Hashtbl.replace seen e0.left.star ();
+    Hashtbl.replace seen e0.right.star ();
+    let joined s = Hashtbl.mem seen s in
+    let acc, _ =
+      List.fold_left
+        (fun (acc, i) (e : Star.edge) ->
+          (* Both endpoints already joined: the earlier joins on the
+             shared variables enforce this edge, so it runs no join. *)
+          if joined e.left.star && joined e.right.star then (acc, i)
+          else
+            let bound, fresh =
+              if joined e.left.star then (e.left, e.right)
+              else (e.right, e.left)
+            in
+            Hashtbl.replace seen fresh.star ();
+            (next i acc ~bound ~fresh ~joined, i + 1))
+        (first e0, 1) rest
+    in
+    acc
+
 let pp_ctp ids ppf c =
   let secondary = not (List.for_all (fun id -> List.mem id c.owners) ids) in
   Fmt.pf ppf "%a%s%a%s" Term.pp c.prop

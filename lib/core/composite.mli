@@ -114,4 +114,23 @@ val order_edges :
     when the pattern is disconnected. *)
 val join_plan : ?star_order:int list -> t -> (Star.edge list, string) result
 
+(** [left_deep plan ~first ~next] walks an edge plan from
+    {!order_edges} or {!join_plan} as a left-deep join: [first e] builds
+    the prefix from the first edge's two stars, then
+    [next i acc ~bound ~fresh ~joined] joins each later edge's
+    not-yet-joined endpoint [fresh] to the prefix [acc] through its
+    already-joined endpoint [bound], with [i] counting the joins from 1.
+    [joined] tests membership in the joined prefix and already holds
+    [fresh] when [next] runs. An edge whose two endpoints are both
+    already joined closes a cycle; the earlier joins on the shared
+    variables enforce it, so it calls nothing.
+    @raise Failure on an [Error] plan or an empty plan. *)
+val left_deep :
+  (Star.edge list, string) result ->
+  first:(Star.edge -> 'a) ->
+  next:
+    (int -> 'a -> bound:Star.endpoint -> fresh:Star.endpoint ->
+     joined:(int -> bool) -> 'a) ->
+  'a
+
 val pp : t Fmt.t

@@ -97,25 +97,27 @@ let session_kind s = s.s_kind
 let session_input s = s.s_input
 let session_verifier s = s.s_verifier
 
+(* The one error boundary of an engine run: a workflow that exhausts its
+   whole-job retries, and a query the engine has no plan for, surface as
+   structured errors, never as escaping exceptions. *)
+let guard f =
+  match f () with
+  | v -> Ok v
+  | exception Workflow.Aborted a -> Error (Job_failed a)
+  | exception (Failure msg | Invalid_argument msg) -> Error (Plan_rejected msg)
+
 let execute session ctx query =
   let { s_kind = kind; s_input = input; s_verifier } = session in
-  let result =
-    (* A workflow that exhausts its whole-job retries surfaces as a
-       structured error, never an escaping exception. *)
-    try
-      Result.map_error
-        (fun msg -> `Msg msg)
-        (match kind with
-        | Hive_naive -> Hive_naive.run ctx (Lazy.force input.vp) query
-        | Hive_mqo -> Hive_mqo.run ctx (Lazy.force input.vp) query
-        | Rapid_plus -> Rapid_plus.run ctx (Lazy.force input.tg_store) query
-        | Rapid_analytics ->
-          Rapid_analytics.run ctx (Lazy.force input.tg_store) query)
-    with Workflow.Aborted a -> Error (`Aborted a)
+  let run () =
+    match kind with
+    | Hive_naive -> Hive_naive.run ctx (Lazy.force input.vp) query
+    | Hive_mqo -> Hive_mqo.run ctx (Lazy.force input.vp) query
+    | Rapid_plus -> Rapid_plus.run ctx (Lazy.force input.tg_store) query
+    | Rapid_analytics ->
+      Rapid_analytics.run ctx (Lazy.force input.tg_store) query
   in
-  match result with
-  | Error (`Aborted a) -> Error (Job_failed a)
-  | Error (`Msg msg) -> Error (Plan_rejected msg)
+  match guard run with
+  | Error e -> Error e
   | Ok (table, stats) -> (
     let output = { table; stats; trace = Exec_ctx.trace ctx } in
     if not (Exec_ctx.verify_plans ctx) then Ok output

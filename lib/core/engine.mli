@@ -41,7 +41,7 @@ val graph_of_input : input -> Graph.t
 (** The prepared storage layouts, forcing them on first use: the
     vertically partitioned tables the Hive engines scan, and the
     triplegroup store the NTGA engines scan. Exposed for {!Batch_exec},
-    which drives the engines' composite primitives directly. *)
+    which runs the engines' shared composite plans directly. *)
 val input_vp : input -> Rapida_relational.Vp_store.t
 
 val input_tg_store : input -> Rapida_ntga.Tg_store.t
@@ -119,6 +119,13 @@ val session_input : session -> input
     {!Batch_exec} can verify shared-plan members exactly as {!execute}
     verifies solo runs. *)
 val session_verifier : session -> verifier
+
+(** [guard f] runs one engine evaluation [f ()] behind the engines' one
+    error boundary: {!Workflow.Aborted} becomes [Job_failed], and
+    [Failure] or [Invalid_argument] (no plan for the query) becomes
+    [Plan_rejected]. Used by {!execute} and by {!Batch_exec}'s shared
+    plans. *)
+val guard : (unit -> 'a) -> ('a, error) result
 
 (** [execute session ctx query] evaluates an analytical query with the
     session's engine, recording telemetry into [ctx]. When the context

@@ -27,47 +27,25 @@ let star_table wf vp composite (star : Composite.star) =
     ~optional:(List.map scan optional)
 
 let eval_composite wf vp (composite : Composite.t) =
-  let star_of id =
-    List.find (fun (s : Composite.star) -> s.cs_id = id) composite.stars
+  let table_of id =
+    star_table wf vp composite
+      (List.find (fun (s : Composite.star) -> s.cs_id = id) composite.stars)
   in
   match composite.stars with
   | [ only ] -> star_table wf vp composite only
-  | _ -> (
-    match
-      Composite.join_plan
-        ?star_order:
-          (Rapida_mapred.Exec_ctx.join_order (Workflow.ctx wf) (-1))
-        composite
-    with
-    | Error msg -> failwith msg
-    | Ok [] -> failwith "composite pattern without join edges"
-    | Ok (first :: rest) ->
-      let seen = Hashtbl.create 8 in
-      Hashtbl.add seen first.Star.left.star ();
-      Hashtbl.add seen first.Star.right.star ();
-      let init =
+  | _ ->
+    Composite.left_deep
+      (Composite.join_plan
+         ?star_order:(Rapida_mapred.Exec_ctx.join_order (Workflow.ctx wf) (-1))
+         composite)
+      ~first:(fun e ->
         Plan_util.pair_join wf ~name:"mqo_join0"
-          (star_table wf vp composite (star_of first.Star.left.star))
-          (star_table wf vp composite (star_of first.Star.right.star))
-      in
-      let acc, _ =
-        List.fold_left
-          (fun (acc, i) (e : Star.edge) ->
-            let new_star =
-              if Hashtbl.mem seen e.Star.left.star then e.right.star
-              else e.left.star
-            in
-            Hashtbl.replace seen new_star ();
-            let joined =
-              Plan_util.pair_join wf
-                ~name:(Printf.sprintf "mqo_join%d" i)
-                acc
-                (star_table wf vp composite (star_of new_star))
-            in
-            (joined, i + 1))
-          (init, 1) rest
-      in
-      acc)
+          (table_of e.Star.left.star)
+          (table_of e.Star.right.star))
+      ~next:(fun i acc ~bound:_ ~fresh ~joined:_ ->
+        Plan_util.pair_join wf
+          ~name:(Printf.sprintf "mqo_join%d" i)
+          acc (table_of fresh.Star.star))
 
 (* Columns whose non-NULL value witnesses that a pattern's own secondary
    triples matched. *)
@@ -117,28 +95,32 @@ let extract_and_aggregate wf composite q_opt (sq : Analytical.subquery)
     ~keys:sq.group_by ~aggs:(Plan_util.agg_specs sq) renamed
   |> Plan_util.finish_subquery sq
 
-let run_composite ctx vp (q : Analytical.t) composite =
-  let wf = Workflow.create (Plan_util.hive_ctx ctx) in
-  match
-    let q_opt = eval_composite wf vp composite in
-    let tables =
-      List.map
-        (fun (sq : Analytical.subquery) ->
-          let info =
-            List.find
-              (fun (p : Composite.pattern_info) -> p.pat_id = sq.sq_id)
-              composite.Composite.patterns
-          in
-          extract_and_aggregate wf composite q_opt sq info)
-        q.subqueries
-    in
-    Plan_util.final_join wf q tables
-  with
-  | table -> Ok (table, Workflow.stats wf)
-  | exception Failure msg -> Error msg
-  | exception Invalid_argument msg -> Error msg
+let shared wf vp composite members =
+  let q_opt = eval_composite wf vp composite in
+  List.map
+    (fun ((q : Analytical.t), sqs) ->
+      let tables =
+        List.map
+          (fun (sq : Analytical.subquery) ->
+            let info =
+              List.find
+                (fun (p : Composite.pattern_info) -> p.pat_id = sq.sq_id)
+                composite.Composite.patterns
+            in
+            extract_and_aggregate wf composite q_opt sq info)
+          sqs
+      in
+      Plan_util.final_join wf q tables)
+    members
 
 let run ctx vp (q : Analytical.t) =
   match Composite.build q.subqueries with
-  | Ok composite -> run_composite ctx vp q composite
   | Error _ -> Hive_naive.run ctx vp q
+  | Ok composite ->
+    let wf = Workflow.create (Plan_util.hive_ctx ctx) in
+    let table =
+      match shared wf vp composite [ (q, q.subqueries) ] with
+      | [ table ] -> table
+      | _ -> assert false
+    in
+    (table, Workflow.stats wf)

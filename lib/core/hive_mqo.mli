@@ -16,25 +16,25 @@ module Table = Rapida_relational.Table
 module Vp_store = Rapida_relational.Vp_store
 module Stats = Rapida_mapred.Stats
 
+(** [run ctx store q] evaluates [q] and returns its result with the
+    statistics of every simulated job it ran.
+    @raise Failure or [Invalid_argument] when there is no plan for [q]
+    @raise Rapida_mapred.Workflow.Aborted when a job exhausts its
+    retries ({!Engine.guard} maps both to typed errors). *)
 val run :
   Rapida_mapred.Exec_ctx.t -> Vp_store.t -> Analytical.t ->
-  (Table.t * Stats.t, string) result
+  Table.t * Stats.t
 
-(** The pieces of the composite plan, exposed so the query server's
-    cross-query MQO ({!Batch_exec}) can share one composite evaluation
-    across several concurrent queries. *)
-
-(** [eval_composite wf vp composite] materializes the composite pattern:
-    one multiway star join per composite star plus one pair join per
-    join edge, all recorded on [wf]. *)
-val eval_composite :
-  Rapida_mapred.Workflow.t -> Vp_store.t -> Composite.t -> Table.t
-
-(** [extract_and_aggregate wf composite q_opt sq info] extracts pattern
-    [info]'s distinct bindings from the materialized composite result
-    [q_opt] and aggregates them per [sq] (whose [sq_id] must equal
-    [info.pat_id]) — one distinct-projection cycle plus one aggregation
-    cycle. *)
-val extract_and_aggregate :
-  Rapida_mapred.Workflow.t -> Composite.t -> Table.t ->
-  Analytical.subquery -> Composite.pattern_info -> Table.t
+(** [shared wf vp composite members] evaluates one composite plan for
+    several queries on [wf]: the composite pattern is materialized once
+    (one multiway star join per composite star, one pair join per join
+    edge), then each member [(q, sqs)] gets one distinct-extraction and
+    one aggregation cycle per subquery in [sqs] and its final join. [sqs]
+    are [q]'s subqueries numbered as [composite]'s pattern ids. Returns
+    one result per member, in order. A solo {!run} is the one-member
+    call; the query server's cross-query MQO ({!Batch_exec}) passes every
+    query of an overlap group.
+    @raise Failure when the composite pattern has no join plan. *)
+val shared :
+  Rapida_mapred.Workflow.t -> Vp_store.t -> Composite.t ->
+  (Analytical.t * Analytical.subquery list) list -> Table.t list

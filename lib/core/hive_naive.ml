@@ -34,46 +34,29 @@ let eval_subquery wf vp (sq : Analytical.subquery) =
   let joined =
     match sq.stars with
     | [ only ] -> star_table only
-    | _ -> (
-      match
-        Composite.order_edges
-          ~star_order:
-            (Rapida_mapred.Exec_ctx.join_order (Workflow.ctx wf) sq.sq_id)
-          ~star_ids:(List.map (fun (s : Star.t) -> s.id) sq.stars)
-          ~edges:sq.edges
-      with
-      | Error msg -> failwith msg
-      | Ok [] -> failwith "multi-star pattern without join edges"
-      | Ok (first :: rest) ->
-        let seen = Hashtbl.create 8 in
-        Hashtbl.add seen first.Star.left.star ();
-        Hashtbl.add seen first.Star.right.star ();
-        let init =
-          Plan_util.pair_join wf
-            ~name:(Printf.sprintf "sq%d_join0" sq.sq_id)
-            (star_table (star_of first.Star.left.star))
-            (star_table (star_of first.Star.right.star))
-        in
-        let acc, _ =
-          List.fold_left
-            (fun (acc, i) (e : Star.edge) ->
-              let new_star =
-                if Hashtbl.mem seen e.left.star then e.right.star
-                else e.left.star
-              in
-              Hashtbl.replace seen new_star ();
-              let joined =
-                Plan_util.pair_join wf
-                  ~name:(Printf.sprintf "sq%d_join%d" sq.sq_id i)
-                  acc
-                  (star_table (star_of new_star))
-              in
-              let joined, _ = Plan_util.apply_ready_filters joined sq.filters in
-              (Plan_util.project_needed joined keep, i + 1))
-            (Plan_util.project_needed init keep, 1)
-            rest
-        in
-        acc)
+    | _ ->
+      Composite.left_deep
+        (Composite.order_edges
+           ~star_order:
+             (Rapida_mapred.Exec_ctx.join_order (Workflow.ctx wf) sq.sq_id)
+           ~star_ids:(List.map (fun (s : Star.t) -> s.id) sq.stars)
+           ~edges:sq.edges)
+        ~first:(fun e ->
+          Plan_util.project_needed
+            (Plan_util.pair_join wf
+               ~name:(Printf.sprintf "sq%d_join0" sq.sq_id)
+               (star_table (star_of e.Star.left.star))
+               (star_table (star_of e.Star.right.star)))
+            keep)
+        ~next:(fun i acc ~bound:_ ~fresh ~joined:_ ->
+          let joined =
+            Plan_util.pair_join wf
+              ~name:(Printf.sprintf "sq%d_join%d" sq.sq_id i)
+              acc
+              (star_table (star_of fresh.Star.star))
+          in
+          let joined, _ = Plan_util.apply_ready_filters joined sq.filters in
+          Plan_util.project_needed joined keep)
   in
   let joined, pending = Plan_util.apply_ready_filters joined sq.filters in
   if pending <> [] then
@@ -85,10 +68,7 @@ let eval_subquery wf vp (sq : Analytical.subquery) =
 
 let run ctx vp (q : Analytical.t) =
   let wf = Workflow.create (Plan_util.hive_ctx ctx) in
-  match
-    let tables = List.map (eval_subquery wf vp) q.subqueries in
-    Plan_util.final_join wf q tables
-  with
-  | table -> Ok (table, Workflow.stats wf)
-  | exception Failure msg -> Error msg
-  | exception Invalid_argument msg -> Error msg
+  let table =
+    Plan_util.final_join wf q (List.map (eval_subquery wf vp) q.subqueries)
+  in
+  (table, Workflow.stats wf)

@@ -13,6 +13,11 @@ module Table = Rapida_relational.Table
 module Vp_store = Rapida_relational.Vp_store
 module Stats = Rapida_mapred.Stats
 
+(** [run ctx store q] evaluates [q] and returns its result with the
+    statistics of every simulated job it ran.
+    @raise Failure or [Invalid_argument] when there is no plan for [q]
+    @raise Rapida_mapred.Workflow.Aborted when a job exhausts its
+    retries ({!Engine.guard} maps both to typed errors). *)
 val run :
   Rapida_mapred.Exec_ctx.t -> Vp_store.t -> Analytical.t ->
-  (Table.t * Stats.t, string) result
+  Table.t * Stats.t

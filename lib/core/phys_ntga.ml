@@ -20,6 +20,11 @@ type source =
     }
   | Pre of Joined.t list
 
+let refined = function
+  | Tgs { tgs; refine; star } ->
+    List.filter_map (fun tg -> Option.map (Joined.of_tg star) (refine tg)) tgs
+  | Pre js -> js
+
 type side = L | R
 
 type item =

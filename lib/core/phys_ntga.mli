@@ -29,6 +29,11 @@ type source =
     }
   | Pre of Joined.t list
 
+(** [refined source] is what [source] contributes to a cycle's map
+    phase: each raw triplegroup refined and tagged with its star index
+    (those refined away dropped), or the previous cycle's output as is. *)
+val refined : source -> Joined.t list
+
 (** [join_cycle wf ~name ~left ~right ~left_key ~right_key ~keep] runs one
     MR cycle joining the two sources on their key values, keeping only
     combined triplegroups for which [keep] holds (the α-condition test). *)

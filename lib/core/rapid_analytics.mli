@@ -13,30 +13,29 @@ module Table = Rapida_relational.Table
 module Tg_store = Rapida_ntga.Tg_store
 module Stats = Rapida_mapred.Stats
 
+(** [run ctx store q] evaluates [q] and returns its result with the
+    statistics of every simulated job it ran.
+    @raise Failure or [Invalid_argument] when there is no plan for [q]
+    @raise Rapida_mapred.Workflow.Aborted when a job exhausts its
+    retries ({!Engine.guard} maps both to typed errors). *)
 val run :
   Rapida_mapred.Exec_ctx.t -> Tg_store.t -> Analytical.t ->
-  (Table.t * Stats.t, string) result
+  Table.t * Stats.t
 
 (** [plan_description q] renders the composite rewriting that [run] would
     use (or the overlap failure), for the CLI's explain command. *)
 val plan_description : Analytical.t -> string
 
-(** The pieces of the composite plan, exposed so the query server's
-    cross-query MQO ({!Batch_exec}) can share one composite evaluation
-    (scan + Agg-Join cycle) across several concurrent queries. *)
-
-(** [eval_composite wf q store composite] evaluates the composite
-    pattern with NTGA operators: one map-side scan + group filter per
-    composite star and one join cycle per edge, recorded on [wf]. [q]
-    supplies the planner's filter-pushdown decision (pushed only for
-    single-subquery queries). *)
-val eval_composite :
-  Rapida_mapred.Workflow.t -> Analytical.t -> Tg_store.t -> Composite.t ->
-  Rapida_ntga.Joined.t list
-
-(** [agjs_of planner composite q] is one Agg-Join per subquery of [q],
-    all evaluable in a single {!Phys_ntga.agg_cycle} over the composite
-    matches. *)
-val agjs_of :
-  Rapida_mapred.Exec_ctx.planner -> Composite.t -> Analytical.t ->
-  Phys_ntga.agj list
+(** [shared wf store composite members] evaluates one composite plan for
+    several queries on [wf]: the composite pattern once with NTGA
+    operators (one map-side scan + group filter per composite star, one
+    join cycle per join edge), then one parallel Agg-Join cycle over
+    every member's every subquery, then each member [(q, sqs)]'s final
+    join. [sqs] are [q]'s subqueries numbered as [composite]'s pattern
+    ids. Returns one result per member, in order. A solo {!run} is the
+    one-member call; the query server's cross-query MQO ({!Batch_exec})
+    passes every query of an overlap group.
+    @raise Failure when the composite pattern has no join plan. *)
+val shared :
+  Rapida_mapred.Workflow.t -> Tg_store.t -> Composite.t ->
+  (Analytical.t * Analytical.subquery list) list -> Table.t list

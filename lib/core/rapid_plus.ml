@@ -2,7 +2,6 @@ module Ast = Rapida_sparql.Ast
 module Star = Rapida_sparql.Star
 module Analytical = Rapida_sparql.Analytical
 module Ops = Rapida_ntga.Ops
-module Joined = Rapida_ntga.Joined
 module Tg_store = Rapida_ntga.Tg_store
 module Workflow = Rapida_mapred.Workflow
 module Stats = Rapida_mapred.Stats
@@ -91,85 +90,35 @@ let pending_filters planner stars filters =
 
 let eval_pattern wf store (sq : Analytical.subquery) =
   let planner = Exec_ctx.planner (Workflow.ctx wf) in
-  let star_of id = List.find (fun (s : Star.t) -> s.id = id) sq.stars in
+  let source id =
+    star_source planner store sq.filters
+      (List.find (fun (s : Star.t) -> s.id = id) sq.stars)
+  in
   match sq.stars with
   | [ only ] ->
     (* A single-star pattern needs no join cycle: the grouping job's map
        phase applies the group filter directly. *)
-    let reqs = star_reqs only in
-    let props = List.map (fun (r : Ops.prop_req) -> r.prop) reqs in
-    let filter_refine, _, _ =
-      if planner.Exec_ctx.ntga_filter_pushdown then
-        Plan_util.push_star_filters only sq.filters
-      else (Option.some, [], sq.filters)
-    in
-    let unbound = has_unbound_property only in
-    Tg_store.scan store ~required:props
-    |> List.concat_map (fun tg ->
-           match filter_refine tg with
-           | None -> []
-           | Some tg ->
-             if unbound then
-               if
-                 List.for_all
-                   (fun (r : Ops.prop_req) ->
-                     Ops.group_filter ~required:[ r ] [ tg ] <> [])
-                   reqs
-               then [ Joined.of_tg only.id tg ]
-               else []
-             else (
-               match Ops.group_filter ~required:reqs [ tg ] with
-               | [ tg' ] -> [ Joined.of_tg only.id tg' ]
-               | _ -> []))
-  | _ -> (
-    match
-      Composite.order_edges
-        ~star_order:(Exec_ctx.join_order (Workflow.ctx wf) sq.sq_id)
-        ~star_ids:(List.map (fun (s : Star.t) -> s.id) sq.stars)
-        ~edges:sq.edges
-    with
-    | Error msg -> failwith msg
-    | Ok [] -> failwith "multi-star pattern without join edges"
-    | Ok (first :: rest) ->
-      let seen = Hashtbl.create 8 in
-      Hashtbl.add seen first.Star.left.star ();
-      Hashtbl.add seen first.Star.right.star ();
-      let init =
+    Phys_ntga.refined (source only.id)
+  | _ ->
+    Composite.left_deep
+      (Composite.order_edges
+         ~star_order:(Exec_ctx.join_order (Workflow.ctx wf) sq.sq_id)
+         ~star_ids:(List.map (fun (s : Star.t) -> s.id) sq.stars)
+         ~edges:sq.edges)
+      ~first:(fun e ->
         Phys_ntga.join_cycle wf
           ~name:(Printf.sprintf "sq%d_tgjoin0" sq.sq_id)
-          ~left:
-            (star_source planner store sq.filters
-               (star_of first.Star.left.star))
-          ~right:
-            (star_source planner store sq.filters
-               (star_of first.Star.right.star))
-          ~left_key:(key_of_endpoint first.Star.left)
-          ~right_key:(key_of_endpoint first.Star.right)
-          ~keep:(fun _ -> true)
-      in
-      let acc, _ =
-        List.fold_left
-          (fun (acc, i) (e : Star.edge) ->
-            let new_endpoint, old_endpoint =
-              if Hashtbl.mem seen e.Star.left.star then (e.right, e.left)
-              else (e.left, e.right)
-            in
-            Hashtbl.replace seen new_endpoint.Star.star ();
-            let joined =
-              Phys_ntga.join_cycle wf
-                ~name:(Printf.sprintf "sq%d_tgjoin%d" sq.sq_id i)
-                ~left:(Phys_ntga.Pre acc)
-                ~right:
-                  (star_source planner store sq.filters
-                     (star_of new_endpoint.Star.star))
-                ~left_key:(key_of_endpoint old_endpoint)
-                ~right_key:(key_of_endpoint new_endpoint)
-                ~keep:(fun _ -> true)
-            in
-            (joined, i + 1))
-          (init, 1) rest
-      in
-      acc)
+          ~left:(source e.Star.left.star) ~right:(source e.Star.right.star)
+          ~left_key:(key_of_endpoint e.Star.left)
+          ~right_key:(key_of_endpoint e.Star.right)
+          ~keep:(fun _ -> true))
+      ~next:(fun i acc ~bound ~fresh ~joined:_ ->
+        Phys_ntga.join_cycle wf
+          ~name:(Printf.sprintf "sq%d_tgjoin%d" sq.sq_id i)
+          ~left:(Phys_ntga.Pre acc) ~right:(source fresh.Star.star)
+          ~left_key:(key_of_endpoint bound)
+          ~right_key:(key_of_endpoint fresh)
+          ~keep:(fun _ -> true))
 
 let eval_subquery wf store (sq : Analytical.subquery) =
   let planner = Exec_ctx.planner (Workflow.ctx wf) in
@@ -190,10 +139,7 @@ let eval_subquery wf store (sq : Analytical.subquery) =
 
 let run ctx store (q : Analytical.t) =
   let wf = Workflow.create ctx in
-  match
-    let tables = List.map (eval_subquery wf store) q.subqueries in
-    Plan_util.final_join wf q tables
-  with
-  | table -> Ok (table, Workflow.stats wf)
-  | exception Failure msg -> Error msg
-  | exception Invalid_argument msg -> Error msg
+  let table =
+    Plan_util.final_join wf q (List.map (eval_subquery wf store) q.subqueries)
+  in
+  (table, Workflow.stats wf)

@@ -10,14 +10,21 @@ module Table = Rapida_relational.Table
 module Tg_store = Rapida_ntga.Tg_store
 module Stats = Rapida_mapred.Stats
 
+(** [run ctx store q] evaluates [q] and returns its result with the
+    statistics of every simulated job it ran.
+    @raise Failure or [Invalid_argument] when there is no plan for [q]
+    @raise Rapida_mapred.Workflow.Aborted when a job exhausts its
+    retries ({!Engine.guard} maps both to typed errors). *)
 val run :
   Rapida_mapred.Exec_ctx.t -> Tg_store.t -> Analytical.t ->
-  (Table.t * Stats.t, string) result
+  Table.t * Stats.t
 
-(** [star_reqs star] is the property requirements of a star pattern
-    (bound properties, plus object constraints for constant objects).
-    Exposed for reuse by {!Rapid_analytics} and tests. *)
-val star_reqs : Rapida_sparql.Star.t -> Rapida_ntga.Ops.prop_req list
+(** [pending_filters planner stars filters] is the part of [filters] no
+    star of [stars] consumes map-side (all of them when the planner does
+    not push filters down); these run during aggregation. *)
+val pending_filters :
+  Rapida_mapred.Exec_ctx.planner -> Rapida_sparql.Star.t list ->
+  Rapida_sparql.Ast.expr list -> Rapida_sparql.Ast.expr list
 
 (** [key_of_endpoint e] translates a join-edge endpoint into a triplegroup
     join-key accessor. @raise Failure on property-role endpoints. *)

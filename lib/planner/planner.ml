@@ -30,21 +30,17 @@ let fingerprint_hex = Printf.sprintf "%016Lx"
 
 (* --- heuristic order extraction ---------------------------------------- *)
 
-(* The star visit order the engines' fold over an (unhinted) edge plan
-   produces: the first edge contributes both endpoints, every later
-   edge its not-yet-seen endpoint. *)
+(* The star visit order the engines' left-deep walk over an (unhinted)
+   edge plan produces: the first edge's two stars, then each later
+   edge's fresh star. *)
 let visit_order_of_plan (plan : Star.edge list) =
   match plan with
   | [] -> []
-  | first :: rest ->
-    let order = ref [ first.Star.right.Star.star; first.Star.left.Star.star ] in
-    List.iter
-      (fun (e : Star.edge) ->
-        let l = e.Star.left.Star.star and r = e.Star.right.Star.star in
-        if not (List.mem l !order) then order := l :: !order;
-        if not (List.mem r !order) then order := r :: !order)
-      rest;
-    List.rev !order
+  | _ ->
+    Composite.left_deep (Ok plan)
+      ~first:(fun e -> [ e.Star.right.Star.star; e.Star.left.Star.star ])
+      ~next:(fun _ order ~bound:_ ~fresh ~joined:_ -> fresh.Star.star :: order)
+    |> List.rev
 
 let heuristic_order ~star_ids ~edges =
   match Composite.order_edges ~star_order:None ~star_ids ~edges with

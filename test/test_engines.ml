@@ -109,6 +109,67 @@ let prediction_matches_execution entry () =
           (Stats.cycles stats))
     Engine.all_kinds
 
+(* A cyclic join graph: stars ?a {p, v}, ?b {q} and ?c {r} joined
+   a-b, b-c and c-a. Whichever edge the plan visits last joins two stars
+   that are already in the prefix, so it is a selection, not a join: the
+   earlier joins on the shared variables (Hive) and the Agg-Join's n-split
+   over shared slots (NTGA) already enforce it. *)
+let triangle_query =
+  "SELECT ?va (COUNT(?a) AS ?n) { ?a p ?b . ?a v ?va . ?b q ?c . ?c r ?a . \
+   } GROUP BY ?va"
+
+let triangle_graph triples =
+  let module Term = Rapida_rdf.Term in
+  let iri n = Term.iri (Rapida_rdf.Namespace.bench ^ n) in
+  Rapida_rdf.Graph.of_list
+    (List.map
+       (fun (s, p, o) ->
+         Rapida_rdf.Triple.make (iri s) (iri p)
+           (match int_of_string_opt o with
+           | Some i -> Term.int i
+           | None -> iri o))
+       triples)
+
+(* a1 closes its triangle; a2's and a3's cycles close on a1 instead. *)
+let broken_triangle =
+  triangle_graph
+    [
+      ("a1", "p", "b1"); ("a1", "v", "1"); ("b1", "q", "c1"); ("c1", "r", "a1");
+      ("a2", "p", "b2"); ("a2", "v", "2"); ("b2", "q", "c2"); ("c2", "r", "a1");
+      ("a3", "p", "b1"); ("a3", "v", "1");
+    ]
+
+(* Every property of the cycle is multi-valued, so each star matches
+   several bindings and only some combinations close the cycle. *)
+let multivalued_triangle =
+  triangle_graph
+    [
+      ("a1", "p", "b1"); ("a1", "p", "b2"); ("a1", "v", "1"); ("a1", "v", "3");
+      ("a2", "p", "b1"); ("a2", "v", "2");
+      ("b1", "q", "c1"); ("b1", "q", "c2"); ("b2", "q", "c1");
+      ("c1", "r", "a1"); ("c1", "r", "a2"); ("c2", "r", "a1");
+    ]
+
+let triangle_on graph () =
+  let q = Rapida_sparql.Analytical.parse_exn triangle_query in
+  let expected = Rapida_ref.Ref_engine.run graph q in
+  Alcotest.(check bool) "reference returns rows" true
+    (Table.cardinality expected > 0);
+  let input = Engine.input_of_graph graph in
+  List.iter
+    (fun kind ->
+      match run kind (Plan_util.context Plan_util.default_options) input q with
+      | Error msg -> Alcotest.failf "%s: %s" (Engine.kind_name kind) msg
+      | Ok { table; stats; _ } ->
+        if not (Relops.same_results expected table) then
+          Alcotest.failf "%s differs:@.expected %s@.got %s"
+            (Engine.kind_name kind) (show_table expected) (show_table table);
+        Alcotest.(check int)
+          (Engine.kind_name kind ^ " cycles")
+          (Rapida_core.Plan_summary.predict kind q)
+          (Stats.cycles stats))
+    Engine.all_kinds
+
 let suite =
   let agreement =
     List.map
@@ -152,4 +213,12 @@ let suite =
           (prediction_matches_execution entry))
       Catalog.all
   in
-  agreement @ coverage @ contracts @ predictions
+  let cyclic =
+    [
+      Alcotest.test_case "triangle: broken cycles" `Quick
+        (triangle_on broken_triangle);
+      Alcotest.test_case "triangle: multi-valued cycle" `Quick
+        (triangle_on multivalued_triangle);
+    ]
+  in
+  agreement @ coverage @ contracts @ predictions @ cyclic

@@ -217,6 +217,39 @@ let test_order_edges_disconnected () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "disconnected pattern must be rejected"
 
+(* The left-deep walk over a hand-built plan: the first edge seeds the
+   prefix with both stars; each later edge joins its fresh star through
+   its bound one, whichever side it sits on; an edge closing a cycle is
+   skipped without consuming a join number. *)
+let test_left_deep () =
+  let ep star = { Star.star; role = Star.Subject; prop = None } in
+  let edge var l r = { Star.var; left = ep l; right = ep r } in
+  let plan =
+    [ edge "x" 2 3; edge "y" 1 2; edge "z" 1 3; edge "w" 3 4 ]
+  in
+  let steps =
+    Composite.left_deep (Ok plan)
+      ~first:(fun e -> [ Printf.sprintf "first %s" e.Star.var ])
+      ~next:(fun i acc ~bound ~fresh ~joined ->
+        check_bool "joined holds fresh" true (joined fresh.Star.star);
+        check_bool "joined holds bound" true (joined bound.Star.star);
+        check_bool "joined excludes later stars"
+          (fresh.Star.star = 4) (joined 4);
+        Printf.sprintf "%d: %d -> %d" i bound.Star.star fresh.Star.star :: acc)
+  in
+  Alcotest.(check (list string))
+    "walk" [ "first x"; "1: 2 -> 1"; "2: 3 -> 4" ] (List.rev steps);
+  let raises plan =
+    match
+      Composite.left_deep plan ~first:(fun _ -> ())
+        ~next:(fun _ () ~bound:_ ~fresh:_ ~joined:_ -> ())
+    with
+    | () -> false
+    | exception Failure _ -> true
+  in
+  check_bool "Error plan raises" true (raises (Error "disconnected"));
+  check_bool "empty plan raises" true (raises (Ok []))
+
 let test_join_plan_of_catalog () =
   (* Every overlapping catalog query yields a valid join plan covering all
      composite stars. *)
@@ -262,6 +295,7 @@ let suite =
     Alcotest.test_case "composite identical patterns" `Quick test_composite_identical_patterns;
     Alcotest.test_case "order edges" `Quick test_order_edges;
     Alcotest.test_case "order edges disconnected" `Quick test_order_edges_disconnected;
+    Alcotest.test_case "left-deep walk" `Quick test_left_deep;
     Alcotest.test_case "catalog join plans" `Quick test_join_plan_of_catalog;
     Alcotest.test_case "catalog MG queries overlap" `Quick test_all_catalog_multi_overlap;
   ]
