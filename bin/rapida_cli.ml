@@ -7,7 +7,8 @@
      rapida analyze - static cardinality/cost analysis from a statistics catalog
      rapida explain - show the overlap analysis and composite rewriting
      rapida catalog - list the paper's query workload, print query text
-     rapida stats   - dataset statistics (triples, partitions) *)
+     rapida stats   - dataset statistics (triples, partitions)
+     rapida fuzz    - differential fuzzing through the engine oracles *)
 
 module Engine = Rapida_core.Engine
 module Plan_util = Rapida_core.Plan_util
@@ -55,6 +56,11 @@ let die_usage msg =
 let die_runtime msg =
   prerr_endline ("error: " ^ msg);
   exit 1
+
+let or_usage = function Ok v -> v | Error msg -> die_usage msg
+
+(* A flag value cmdliner accepted but the command cannot use. *)
+let require ok msg = if not ok then die_usage msg
 
 let setup_logs verbose =
   Logs.set_reporter (Logs_fmt.reporter ());
@@ -123,6 +129,39 @@ let print_table t =
       print_newline ())
     t.Table.rows
 
+(* An optional key=value spec flag (or any flag with its own string
+   parser). Parsed after cmdliner, so a bad value exits 2 with the
+   parser's one-line diagnostic rather than cmdliner's usage error. *)
+let spec_arg ?(docv = "SPEC") long ~doc parse default =
+  let arg = Arg.(value & opt (some string) None & info [ long ] ~docv ~doc) in
+  Term.(const (function None -> Ok default | Some s -> parse s) $ arg)
+
+let named ~expected of_string name =
+  let parse s =
+    match of_string s with
+    | Some v -> Ok v
+    | None -> Error (`Msg ("expected " ^ expected))
+  in
+  Arg.conv (parse, fun ppf v -> Fmt.string ppf (name v))
+
+let data_arg ~doc =
+  Arg.(value & opt (some string) None & info [ "d"; "data" ] ~docv:"FILE" ~doc)
+
+(* The statistics catalog from exactly one of --data (scan a dataset) or
+   --stats (reload a dumped catalog); [usage] is the error otherwise. *)
+let load_catalog ~usage data stats_file =
+  or_usage
+    (match (data, stats_file) with
+    | Some path, None -> Result.map Stats_catalog.build (load_graph path)
+    | None, Some path ->
+      Result.bind (read_file path) (fun src ->
+          Result.map_error (Printf.sprintf "%s: %s" path)
+            (Result.bind (Json.of_string src) Stats_catalog.of_json))
+    | _ -> Error usage)
+
+let with_fields json fields =
+  match json with Json.Obj fs -> Json.Obj (fs @ fields) | other -> other
+
 let table_json t =
   Json.Obj
     [
@@ -174,6 +213,7 @@ let gen_cmd =
          & info [ "o"; "output" ] ~doc:"Output N-Triples file.")
   in
   let run dataset scale seed output =
+    require (scale > 0) "--scale must be positive";
     let graph =
       match dataset with
       | `Bsbm -> Rapida_datagen.Bsbm.(generate (config ~seed ~products:scale ()))
@@ -192,13 +232,9 @@ let gen_cmd =
 (* --- shared optimizer flags --------------------------------------------- *)
 
 let opt_policy_arg =
-  let parse s =
-    match Cost_model.policy_of_string s with
-    | Some p -> Ok p
-    | None -> Error (`Msg "expected mid, worst-case, or minimax-regret")
-  in
   let policy_conv =
-    Arg.conv (parse, fun ppf p -> Fmt.string ppf (Cost_model.policy_name p))
+    named ~expected:"mid, worst-case, or minimax-regret"
+      Cost_model.policy_of_string Cost_model.policy_name
   in
   Arg.(value & opt policy_conv Cost_model.Worst_case
        & info [ "opt-policy" ] ~docv:"POLICY"
@@ -221,12 +257,8 @@ let optimize_arg =
 (* --- query -------------------------------------------------------------- *)
 
 let engine_arg =
-  let parse s =
-    match Engine.kind_of_string s with
-    | Some k -> Ok k
-    | None -> Error (`Msg "expected hive-naive, hive-mqo, rapid-plus, or rapid-analytics")
-  in
-  Arg.conv (parse, fun ppf k -> Fmt.string ppf (Engine.kind_name k))
+  named ~expected:"hive-naive, hive-mqo, rapid-plus, or rapid-analytics"
+    Engine.kind_of_string Engine.kind_name
 
 let query_source_args f =
   let data =
@@ -287,43 +319,40 @@ let query_cmd =
                    breakdown, and counters as JSON.")
   in
   let faults =
-    Arg.(value & opt (some string) None
-         & info [ "faults" ] ~docv:"SPEC"
-             ~doc:"Inject faults into the simulated cluster: comma-separated \
-                   key=value pairs over seed, task-fail, straggler, slowdown, \
-                   max-attempts, speculation (on|off), job-retries, backoff, \
-                   phase (map|reduce|all), poison (per-record bad-record \
-                   probability), and skip-max (bad records tolerated per job \
-                   by Hadoop-style skip mode), e.g. \
-                   seed=7,task-fail=0.05,straggler=0.1. Fault tolerance is \
-                   transparent: unless a task exhausts its attempts, results \
-                   are identical to a fault-free run and only the simulated \
-                   time and counters change.")
+    spec_arg "faults" Fault_injector.parse_spec Fault_injector.default
+      ~doc:"Inject faults into the simulated cluster: comma-separated \
+            key=value pairs over seed, task-fail, straggler, slowdown, \
+            max-attempts, speculation (on|off), job-retries, backoff, \
+            phase (map|reduce|all), poison (per-record bad-record \
+            probability), and skip-max (bad records tolerated per job \
+            by Hadoop-style skip mode), e.g. \
+            seed=7,task-fail=0.05,straggler=0.1. Fault tolerance is \
+            transparent: unless a task exhausts its attempts, results \
+            are identical to a fault-free run and only the simulated \
+            time and counters change."
   in
   let mem =
-    Arg.(value & opt (some string) None
-         & info [ "mem" ] ~docv:"SPEC"
-             ~doc:"Bound the simulated cluster's per-task memory: \
-                   comma-separated key=value pairs over heap, sort-buffer \
-                   (sizes in bytes, or with a k/m/g suffix) and \
-                   spill-threshold (0-1], e.g. heap=64m,sort-buffer=1m. \
-                   Memory pressure prices spill passes, OOM retries, and \
-                   map-join fallbacks into the simulated time; results are \
-                   byte-identical at every budget.")
+    spec_arg "mem" Memory.parse_spec Memory.default
+      ~doc:"Bound the simulated cluster's per-task memory: \
+            comma-separated key=value pairs over heap, sort-buffer \
+            (sizes in bytes, or with a k/m/g suffix) and \
+            spill-threshold (0-1], e.g. heap=64m,sort-buffer=1m. \
+            Memory pressure prices spill passes, OOM retries, and \
+            map-join fallbacks into the simulated time; results are \
+            byte-identical at every budget."
   in
   let checkpoint =
-    Arg.(value & opt (some string) None
-         & info [ "checkpoint" ] ~docv:"SPEC"
-             ~doc:"Checkpoint workflow outputs in the simulated cluster: \
-                   comma-separated key=value pairs over every=K (checkpoint \
-                   every K jobs), adaptive=BYTES (checkpoint once that many \
-                   output bytes accumulate; k/m/g suffixes), and \
-                   replication=N (HDFS copies per checkpoint, default 3), \
-                   e.g. every=1 or adaptive=64m,replication=2. With any \
-                   policy active a workflow that exhausts a job's retries \
-                   replays only the jobs since the last checkpoint instead \
-                   of aborting; checkpoint writes and replays are priced \
-                   into the simulated time and results stay byte-identical.")
+    spec_arg "checkpoint" Checkpoint.parse_spec Checkpoint.default
+      ~doc:"Checkpoint workflow outputs in the simulated cluster: \
+            comma-separated key=value pairs over every=K (checkpoint \
+            every K jobs), adaptive=BYTES (checkpoint once that many \
+            output bytes accumulate; k/m/g suffixes), and \
+            replication=N (HDFS copies per checkpoint, default 3), \
+            e.g. every=1 or adaptive=64m,replication=2. With any \
+            policy active a workflow that exhausts a job's retries \
+            replays only the jobs since the last checkpoint instead \
+            of aborting; checkpoint writes and replays are priced \
+            into the simulated time and results stay byte-identical."
   in
   let analyze =
     Arg.(value & flag
@@ -337,46 +366,25 @@ let query_cmd =
                    output is byte-identical.")
   in
   let dirty_input =
-    Arg.(value & opt (some string) None
-         & info [ "dirty-input" ] ~docv:"MODE"
-             ~doc:"How to treat malformed N-Triples lines in the dataset: \
-                   strict (default: fail the load), skip[=N] (quarantine up \
-                   to N malformed lines, default 100, then fail), or \
-                   quarantine (quarantine every malformed line). Quarantined \
-                   lines are reported on stderr with line and column.")
+    spec_arg "dirty-input" ~docv:"MODE" Ntriples.parse_mode Ntriples.Strict
+      ~doc:"How to treat malformed N-Triples lines in the dataset: \
+            strict (default: fail the load), skip[=N] (quarantine up \
+            to N malformed lines, default 100, then fail), or \
+            quarantine (quarantine every malformed line). Quarantined \
+            lines are reported on stderr with line and column."
   in
   let run (data, query_file, catalog_id) engine verify verify_plans show_stats
-      trace_file json faults_spec mem_spec checkpoint_spec analyze optimize
-      opt_policy dirty_spec verbose =
+      trace_file json fault_cfg mem_cfg checkpoint_cfg analyze optimize
+      opt_policy dirty_mode verbose =
     setup_logs verbose;
     let ( let* ) = Result.bind in
     let usage r = Result.map_error (fun msg -> (2, msg)) r in
     let runtime r = Result.map_error (fun msg -> (1, msg)) r in
     match
-      let* fault_cfg =
-        usage
-          (match faults_spec with
-          | None -> Ok Fault_injector.default
-          | Some spec -> Fault_injector.parse_spec spec)
-      in
-      let* mem_cfg =
-        usage
-          (match mem_spec with
-          | None -> Ok Memory.default
-          | Some spec -> Memory.parse_spec spec)
-      in
-      let* checkpoint_cfg =
-        usage
-          (match checkpoint_spec with
-          | None -> Ok Checkpoint.default
-          | Some spec -> Checkpoint.parse_spec spec)
-      in
-      let* dirty_mode =
-        usage
-          (match dirty_spec with
-          | None -> Ok Ntriples.Strict
-          | Some spec -> Ntriples.parse_mode spec)
-      in
+      let* fault_cfg = usage fault_cfg in
+      let* mem_cfg = usage mem_cfg in
+      let* checkpoint_cfg = usage checkpoint_cfg in
+      let* dirty_mode = usage dirty_mode in
       let cluster =
         Cluster.with_memory Plan_util.default_options.Plan_util.cluster mem_cfg
       in
@@ -480,11 +488,8 @@ let query_cmd =
                   | Some d ->
                     [
                       ( "optimize",
-                        match Planner.decision_to_json d with
-                        | Json.Obj fields ->
-                          Json.Obj
-                            (fields @ [ ("misestimate", Json.Bool escaped) ])
-                        | other -> other );
+                        with_fields (Planner.decision_to_json d)
+                          [ ("misestimate", Json.Bool escaped) ] );
                     ])
                 @
                 match measured with
@@ -502,16 +507,13 @@ let query_cmd =
                   in
                   [
                     ( "analyze",
-                      match Card_analysis.to_json analysis with
-                      | Json.Obj fields ->
-                        Json.Obj
-                          (fields
-                          @ [
-                              ("actuals", actuals);
-                              ( "q_error",
-                                Json.Float (Card_analysis.root_q_error m) );
-                            ])
-                      | other -> other );
+                      with_fields
+                        (Card_analysis.to_json analysis)
+                        [
+                          ("actuals", actuals);
+                          ( "q_error",
+                            Json.Float (Card_analysis.root_q_error m) );
+                        ] );
                   ]
                 | None -> [])))
       else begin
@@ -550,12 +552,8 @@ let query_cmd =
 (* --- serve -------------------------------------------------------------- *)
 
 let policy_arg =
-  let parse s =
-    match Scheduler.policy_of_string s with
-    | Some p -> Ok p
-    | None -> Error (`Msg "expected fifo or fair")
-  in
-  Arg.conv (parse, fun ppf p -> Fmt.string ppf (Scheduler.policy_name p))
+  named ~expected:"fifo or fair" Scheduler.policy_of_string
+    Scheduler.policy_name
 
 let serve_cmd =
   let data =
@@ -620,15 +618,13 @@ let serve_cmd =
                    batches, savings vs back-to-back) as JSON.")
   in
   let faults =
-    Arg.(value & opt (some string) None
-         & info [ "faults" ] ~docv:"SPEC"
-             ~doc:"Fault-injection spec for every simulated workflow (same \
-                   syntax as rapida query --faults).")
+    spec_arg "faults" Fault_injector.parse_spec Fault_injector.default
+      ~doc:"Fault-injection spec for every simulated workflow (same \
+            syntax as rapida query --faults)."
   in
   let mem =
-    Arg.(value & opt (some string) None
-         & info [ "mem" ] ~docv:"SPEC"
-             ~doc:"Per-task memory budget (same syntax as rapida query --mem).")
+    spec_arg "mem" Memory.parse_spec Memory.default
+      ~doc:"Per-task memory budget (same syntax as rapida query --mem)."
   in
   let deadline =
     Arg.(value & opt (some float) None
@@ -645,13 +641,9 @@ let serve_cmd =
                    under --shed-policy.")
   in
   let shed_policy =
-    let parse s =
-      match Server.shed_policy_of_string s with
-      | Some p -> Ok p
-      | None -> Error (`Msg "expected drop-tail, cost-aware, or deadline-aware")
-    in
     let shed_conv =
-      Arg.conv (parse, fun ppf p -> Fmt.string ppf (Server.shed_policy_name p))
+      named ~expected:"drop-tail, cost-aware, or deadline-aware"
+        Server.shed_policy_of_string Server.shed_policy_name
     in
     Arg.(value & opt shed_conv Server.Drop_tail
          & info [ "shed-policy" ]
@@ -696,102 +688,60 @@ let serve_cmd =
                    (each single escape costs one heuristic-planned group).")
   in
   let run data workload_file generate seed mean_gap engine window policy
-      no_share detail json faults_spec mem_spec deadline queue_cap shed_policy
+      no_share detail json fault_cfg mem_cfg deadline queue_cap shed_policy
       degrade breaker breaker_cooldown optimize opt_policy plan_cache
       opt_defense verbose =
     setup_logs verbose;
-    let ( let* ) = Result.bind in
-    let usage r = Result.map_error (fun msg -> (2, msg)) r in
-    match
-      let* fault_cfg =
-        usage
-          (match faults_spec with
-          | None -> Ok Fault_injector.default
-          | Some spec -> Fault_injector.parse_spec spec)
-      in
-      let* mem_cfg =
-        usage
-          (match mem_spec with
-          | None -> Ok Memory.default
-          | Some spec -> Memory.parse_spec spec)
-      in
-      let* () =
-        if window < 0.0 || not (Float.is_finite window) then
-          Error (2, "window must be a non-negative number of seconds")
-        else Ok ()
-      in
-      let* () =
-        match deadline with
-        | Some d when d <= 0.0 || not (Float.is_finite d) ->
-          Error (2, "--deadline must be a positive number of seconds")
-        | Some _ | None -> Ok ()
-      in
-      let* () =
-        match queue_cap with
-        | Some c when c <= 0 -> Error (2, "--queue-cap must be positive")
-        | Some _ | None -> Ok ()
-      in
-      let* () =
-        match breaker with
-        | Some k when k <= 0 -> Error (2, "--breaker must be positive")
-        | Some _ | None -> Ok ()
-      in
-      let* () =
-        if breaker_cooldown <= 0.0 || not (Float.is_finite breaker_cooldown)
-        then Error (2, "--breaker-cooldown must be a positive number of seconds")
-        else Ok ()
-      in
-      let* () =
-        if plan_cache < 1 then Error (2, "--plan-cache must be positive")
-        else Ok ()
-      in
-      let* () =
-        if opt_defense < 1 then Error (2, "--opt-defense must be positive")
-        else Ok ()
-      in
-      let* workload =
-        match (workload_file, generate) with
-        | Some path, None -> usage (Workload.load path)
+    let fault_cfg = or_usage fault_cfg in
+    let mem_cfg = or_usage mem_cfg in
+    let positive = Option.fold ~none:true ~some:(fun k -> k > 0) in
+    let seconds x = x > 0.0 && Float.is_finite x in
+    require (window >= 0.0 && Float.is_finite window)
+      "window must be a non-negative number of seconds";
+    require (Option.fold ~none:true ~some:seconds deadline)
+      "--deadline must be a positive number of seconds";
+    require (positive queue_cap) "--queue-cap must be positive";
+    require (positive breaker) "--breaker must be positive";
+    require (seconds breaker_cooldown)
+      "--breaker-cooldown must be a positive number of seconds";
+    require (plan_cache >= 1) "--plan-cache must be positive";
+    require (opt_defense >= 1) "--opt-defense must be positive";
+    let workload =
+      or_usage
+        (match (workload_file, generate) with
+        | Some path, None -> Workload.load path
         | None, Some n ->
-          usage
-            (Result.map_error Workload.gen_error_message
-               (Workload.generate ~seed ~n ~mean_gap_s:mean_gap ()))
-        | _ -> Error (2, "provide exactly one of --workload or --generate")
-      in
-      let* graph = usage (load_graph data) in
-      Ok (workload, graph, fault_cfg, mem_cfg)
-    with
-    | Error (2, msg) -> die_usage msg
-    | Error (_, msg) -> die_runtime msg
-    | Ok (workload, graph, fault_cfg, mem_cfg) ->
-      let cluster =
-        Cluster.with_memory Plan_util.default_options.Plan_util.cluster
-          mem_cfg
-      in
-      let options = Plan_util.make ~cluster ~faults:fault_cfg () in
-      let overload =
-        Server.overload ?queue_cap ~shed_policy ?deadline_s:deadline
-          ?breaker_k:breaker ~breaker_cooldown_s:breaker_cooldown ~degrade ()
-      in
-      let cfg =
-        Server.config ~window_s:window ~policy ~share:(not no_share)
-          ~overload
-          ?optimize:
-            (if optimize then
-               Some
-                 (Server.optimize ~policy:opt_policy
-                    ~cache_capacity:plan_cache ~defense_k:opt_defense ())
-             else None)
-          ~options engine
-      in
-      let report = Server.run cfg (Engine.input_of_graph graph) workload in
-      if json then print_endline (Json.to_string (Server.to_json report))
-      else if detail then Fmt.pr "%a@." Server.pp_detail report
-      else Fmt.pr "%a@." Server.pp report;
-      (* Sharing must never change an answer: a divergence from the solo
-         runs (or any failed query) is a runtime failure. *)
-      if (not report.Server.r_all_matched) || report.Server.r_errors > 0
-      then exit 1
+          Result.map_error Workload.gen_error_message
+            (Workload.generate ~seed ~n ~mean_gap_s:mean_gap ())
+        | _ -> Error "provide exactly one of --workload or --generate")
+    in
+    let graph = or_usage (load_graph data) in
+    let cluster =
+      Cluster.with_memory Plan_util.default_options.Plan_util.cluster mem_cfg
+    in
+    let options = Plan_util.make ~cluster ~faults:fault_cfg () in
+    let overload =
+      Server.overload ?queue_cap ~shed_policy ?deadline_s:deadline
+        ?breaker_k:breaker ~breaker_cooldown_s:breaker_cooldown ~degrade ()
+    in
+    let cfg =
+      Server.config ~window_s:window ~policy ~share:(not no_share) ~overload
+        ?optimize:
+          (if optimize then
+             Some
+               (Server.optimize ~policy:opt_policy ~cache_capacity:plan_cache
+                  ~defense_k:opt_defense ())
+           else None)
+        ~options engine
+    in
+    let report = Server.run cfg (Engine.input_of_graph graph) workload in
+    if json then print_endline (Json.to_string (Server.to_json report))
+    else if detail then Fmt.pr "%a@." Server.pp_detail report
+    else Fmt.pr "%a@." Server.pp report;
+    (* Sharing must never change an answer: a divergence from the solo
+       runs (or any failed query) is a runtime failure. *)
+    if (not report.Server.r_all_matched) || report.Server.r_errors > 0 then
+      exit 1
   in
   Cmd.v
     (Cmd.info "serve"
@@ -877,6 +827,17 @@ let count_severity reports sev =
       n + List.length (List.filter (fun d -> d.Diagnostic.severity = sev) ds))
     0 reports
 
+(* The lint/analyze JSON envelope: one object per report, then the
+   severity counts over all of them. *)
+let reports_json reports objs =
+  Json.Obj
+    [
+      ("reports", Json.List objs);
+      ("errors", Json.Int (count_severity reports Diagnostic.Error));
+      ("warnings", Json.Int (count_severity reports Diagnostic.Warning));
+      ("infos", Json.Int (count_severity reports Diagnostic.Info));
+    ]
+
 (* Resolve FILE / --catalog / --catalog-all inputs to (label, source)
    pairs, shared by lint and analyze. *)
 let gather_inputs ~verb files catalog_ids catalog_all =
@@ -939,18 +900,10 @@ let lint_cmd =
       if json then
         print_endline
           (Json.to_string
-             (Json.Obj
-                [
-                  ( "reports",
-                    Json.List
-                      (List.map
-                         (fun (file, ds) -> Diagnostic.report_json ~file ds)
-                         reports) );
-                  ("errors", Json.Int (count_severity reports Diagnostic.Error));
-                  ( "warnings",
-                    Json.Int (count_severity reports Diagnostic.Warning) );
-                  ("infos", Json.Int (count_severity reports Diagnostic.Info));
-                ]))
+             (reports_json reports
+                (List.map
+                   (fun (file, ds) -> Diagnostic.report_json ~file ds)
+                   reports)))
       else
         List.iter
           (fun (file, ds) ->
@@ -988,10 +941,8 @@ let analyze_cmd =
          & info [ "catalog-all" ] ~doc:"Analyze every catalog query.")
   in
   let data =
-    Arg.(value & opt (some string) None
-         & info [ "d"; "data" ] ~docv:"FILE"
-             ~doc:"Dataset file (N-Triples) to build the statistics catalog \
-                   from.")
+    data_arg
+      ~doc:"Dataset file (N-Triples) to build the statistics catalog from."
   in
   let stats_file =
     Arg.(value & opt (some string) None
@@ -1006,11 +957,10 @@ let analyze_cmd =
                    --stats) and continue.")
   in
   let mem =
-    Arg.(value & opt (some string) None
-         & info [ "mem" ] ~docv:"SPEC"
-             ~doc:"Per-task memory budget the byte-level diagnostics \
-                   (broadcast feasibility, predicted map-join overcommit) \
-                   compare against (same syntax as rapida query --mem).")
+    spec_arg "mem" Memory.parse_spec Memory.default
+      ~doc:"Per-task memory budget the byte-level diagnostics \
+            (broadcast feasibility, predicted map-join overcommit) \
+            compare against (same syntax as rapida query --mem)."
   in
   let json =
     Arg.(value & flag
@@ -1019,7 +969,7 @@ let analyze_cmd =
                    severity, the diagnostics, and the annotated plan tree \
                    with cardinality and byte intervals.")
   in
-  let run files catalog_ids catalog_all data stats_file dump_stats mem_spec
+  let run files catalog_ids catalog_all data stats_file dump_stats memory
       json min_severity rules =
     if rules then print_rules json
     else begin
@@ -1027,22 +977,8 @@ let analyze_cmd =
         gather_inputs ~verb:"analyze" files catalog_ids catalog_all
       in
       let catalog =
-        match (data, stats_file) with
-        | Some path, None -> (
-          match load_graph path with
-          | Ok graph -> Stats_catalog.build graph
-          | Error msg -> die_usage msg)
-        | None, Some path -> (
-          let parsed =
-            Result.bind (read_file path) (fun src ->
-                Result.map_error
-                  (fun msg -> Printf.sprintf "%s: %s" path msg)
-                  (Result.bind (Json.of_string src) Stats_catalog.of_json))
-          in
-          match parsed with
-          | Ok catalog -> catalog
-          | Error msg -> die_usage msg)
-        | _ -> die_usage "provide exactly one of --data or --stats"
+        load_catalog ~usage:"provide exactly one of --data or --stats" data
+          stats_file
       in
       (match dump_stats with
       | None -> ()
@@ -1058,14 +994,7 @@ let analyze_cmd =
         | () -> ()
         | exception Sys_error msg ->
           die_runtime ("cannot write stats: " ^ msg)));
-      let memory =
-        match mem_spec with
-        | None -> Rapida_mapred.Memory.default
-        | Some spec -> (
-          match Rapida_mapred.Memory.parse_spec spec with
-          | Ok cfg -> cfg
-          | Error msg -> die_usage msg)
-      in
+      let memory = or_usage memory in
       (* Unparsable inputs still yield a report — the lint diagnostics
          carry the parse failure — so the exit code works like lint. *)
       let analyses =
@@ -1091,32 +1020,17 @@ let analyze_cmd =
       if json then
         print_endline
           (Json.to_string
-             (Json.Obj
-                [
-                  ( "reports",
-                    Json.List
-                      (List.map2
-                         (fun (file, ds) (_, analysis) ->
-                           let plan =
-                             match analysis with
-                             | Some a -> (
-                               match
-                                 Json.member "plan" (Card_analysis.to_json a)
-                               with
-                               | Some p -> p
-                               | None -> Json.Null)
-                             | None -> Json.Null
-                           in
-                           match Diagnostic.report_json ~file ds with
-                           | Json.Obj fields ->
-                             Json.Obj (fields @ [ ("plan", plan) ])
-                           | other -> other)
-                         reports analyses) );
-                  ("errors", Json.Int (count_severity reports Diagnostic.Error));
-                  ( "warnings",
-                    Json.Int (count_severity reports Diagnostic.Warning) );
-                  ("infos", Json.Int (count_severity reports Diagnostic.Info));
-                ]))
+             (reports_json reports
+                (List.map2
+                   (fun (file, ds) (_, analysis) ->
+                     let plan =
+                       Option.bind analysis (fun a ->
+                           Json.member "plan" (Card_analysis.to_json a))
+                     in
+                     with_fields
+                       (Diagnostic.report_json ~file ds)
+                       [ ("plan", Option.value plan ~default:Json.Null) ])
+                   reports analyses)))
       else
         List.iter2
           (fun (file, ds) (_, analysis) ->
@@ -1172,10 +1086,9 @@ let explain_cmd =
                    --stats) and print the stats-aware diagnostics.")
   in
   let data =
-    Arg.(value & opt (some string) None
-         & info [ "d"; "data" ] ~docv:"FILE"
-             ~doc:"Dataset file (N-Triples) to build the --analyze \
-                   statistics catalog from.")
+    data_arg
+      ~doc:"Dataset file (N-Triples) to build the --analyze statistics \
+            catalog from."
   in
   let stats_file =
     Arg.(value & opt (some string) None
@@ -1185,35 +1098,17 @@ let explain_cmd =
   in
   let run query_file catalog_id json lint analyze optimize opt_policy data
       stats_file =
-    let src =
-      match query_text query_file catalog_id with
-      | Ok src -> src
-      | Error msg -> die_usage msg
-    in
+    let src = or_usage (query_text query_file catalog_id) in
     let lint_ds = if lint then lint_text src else [] in
     match Rapida_sparql.Analytical.parse src with
     | Error msg -> die_usage msg
     | Ok q ->
       let catalog =
         lazy
-          (match (data, stats_file) with
-          | Some path, None -> (
-            match load_graph path with
-            | Ok graph -> Stats_catalog.build graph
-            | Error msg -> die_usage msg)
-          | None, Some path -> (
-            let parsed =
-              Result.bind (read_file path) (fun s ->
-                  Result.map_error
-                    (fun msg -> Printf.sprintf "%s: %s" path msg)
-                    (Result.bind (Json.of_string s) Stats_catalog.of_json))
-            in
-            match parsed with
-            | Ok catalog -> catalog
-            | Error msg -> die_usage msg)
-          | _ ->
-            die_usage
-              "--analyze and --optimize need exactly one of --data or --stats")
+          (load_catalog
+             ~usage:"--analyze and --optimize need exactly one of --data or \
+                     --stats"
+             data stats_file)
       in
       let analysis =
         if not analyze then None
@@ -1259,24 +1154,20 @@ let explain_cmd =
             | Some (d, first, replan, shape_fp, catalog_fp) ->
               [
                 ( "optimize",
-                  match Planner.decision_to_json d with
-                  | Json.Obj fs ->
-                    Json.Obj
-                      (fs
-                      @ [
-                          ( "cache",
-                            Json.Obj
-                              [
-                                ("first", Json.String (hit_name first));
-                                ("replan", Json.String (hit_name replan));
-                                ( "shape_fp",
-                                  Json.String (Planner.fingerprint_hex shape_fp) );
-                                ( "catalog_fp",
-                                  Json.String (Planner.fingerprint_hex catalog_fp)
-                                );
-                              ] );
-                        ])
-                  | other -> other );
+                  with_fields (Planner.decision_to_json d)
+                    [
+                      ( "cache",
+                        Json.Obj
+                          [
+                            ("first", Json.String (hit_name first));
+                            ("replan", Json.String (hit_name replan));
+                            ( "shape_fp",
+                              Json.String (Planner.fingerprint_hex shape_fp) );
+                            ( "catalog_fp",
+                              Json.String (Planner.fingerprint_hex catalog_fp)
+                            );
+                          ] );
+                    ] );
               ])
           @
           match analysis with
@@ -1359,19 +1250,17 @@ let stats_cmd =
          & info [] ~docv:"FILE" ~doc:"Dataset file (N-Triples).")
   in
   let run data =
-    match load_graph data with
-    | Error msg -> die_usage msg
-    | Ok graph ->
-      let tg = Rapida_ntga.Tg_store.of_graph graph in
-      let vp = Rapida_relational.Vp_store.of_graph graph in
-      let parts, bytes = Rapida_relational.Vp_store.stats vp in
-      Fmt.pr "triples: %d (%d bytes)@." (Graph.size graph)
-        (Graph.size_bytes graph);
-      Fmt.pr "subjects: %d, properties: %d@."
-        (List.length (Graph.subjects graph))
-        (List.length (Graph.properties graph));
-      Fmt.pr "%a@." Rapida_ntga.Tg_store.pp tg;
-      Fmt.pr "vp-store: %d partitions, %d bytes@." parts bytes
+    let graph = or_usage (load_graph data) in
+    let tg = Rapida_ntga.Tg_store.of_graph graph in
+    let vp = Rapida_relational.Vp_store.of_graph graph in
+    let parts, bytes = Rapida_relational.Vp_store.stats vp in
+    Fmt.pr "triples: %d (%d bytes)@." (Graph.size graph)
+      (Graph.size_bytes graph);
+    Fmt.pr "subjects: %d, properties: %d@."
+      (List.length (Graph.subjects graph))
+      (List.length (Graph.properties graph));
+    Fmt.pr "%a@." Rapida_ntga.Tg_store.pp tg;
+    Fmt.pr "vp-store: %d partitions, %d bytes@." parts bytes
   in
   Cmd.v
     (Cmd.info "stats" ~doc:"Print dataset statistics")
@@ -1412,10 +1301,9 @@ let fuzz_cmd =
                    metamorphic, analyzer, robustness. Default: all.")
   in
   let data =
-    Arg.(value & opt (some string) None
-         & info [ "d"; "data" ] ~docv:"FILE"
-             ~doc:"Fuzz against this dataset (N-Triples) instead of the \
-                   built-in BSBM graph.")
+    data_arg
+      ~doc:"Fuzz against this dataset (N-Triples) instead of the built-in \
+            BSBM graph."
   in
   let products =
     Arg.(value & opt int 30
@@ -1455,16 +1343,13 @@ let fuzz_cmd =
                | Some o -> o
                | None -> die_usage ("unknown oracle " ^ String.trim s))
     in
-    if oracles = [] then die_usage "no oracles selected";
-    if budget < 0 then die_usage "--budget must be non-negative";
-    let graph =
-      match data with
-      | None -> None
-      | Some path -> (
-        match load_graph path with
-        | Ok g -> Some g
-        | Error msg -> die_usage msg)
-    in
+    require (oracles <> []) "no oracles selected";
+    require (budget >= 0) "--budget must be non-negative";
+    require (products > 0) "--products must be positive";
+    require (adversarial >= 0.0 && adversarial <= 1.0)
+      "--adversarial must be in [0, 1]";
+    require (knobs >= 0) "--knobs must be non-negative";
+    let graph = Option.map (fun path -> or_usage (load_graph path)) data in
     let report =
       Fuzz.run
         {

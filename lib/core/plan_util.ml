@@ -114,17 +114,15 @@ let var_name = function
 let unbound_tp_table vp (tp : Ast.triple_pattern) =
   let rows =
     List.concat_map
-      (fun (term, t) ->
-        let is_type_partition =
-          String.length t.Table.name >= 5 && String.sub t.Table.name 0 5 = "type_"
-        in
-        if is_type_partition then
+      (fun (prop, t) ->
+        List.map (fun row -> [| row.(0); Some prop; row.(1) |]) t.Table.rows)
+      (Vp_store.property_partitions vp)
+    @ List.concat_map
+        (fun (cls, t) ->
           List.map
-            (fun row -> [| row.(0); Some Namespace.rdf_type; Some term |])
-            t.Table.rows
-        else
-          List.map (fun row -> [| row.(0); Some term; row.(1) |]) t.Table.rows)
-      (Vp_store.partitions vp)
+            (fun row -> [| row.(0); Some Namespace.rdf_type; Some cls |])
+            t.Table.rows)
+        (Vp_store.type_partitions vp)
   in
   let t = Table.make ~name:"vp_all" ~schema:[ "!s"; "!p"; "!o" ] rows in
   (* Constrain and name each position. *)
@@ -150,6 +148,17 @@ let unbound_tp_table vp (tp : Ast.triple_pattern) =
   in
   Relops.rename_cols (Relops.project t keep) renames
 
+(* rdf:type with a variable object: every (subject, class) pair, the
+   union of the per-class partitions. *)
+let typed_subjects vp schema =
+  let rows =
+    List.concat_map
+      (fun (cls, t) ->
+        List.map (fun row -> [| row.(0); Some cls |]) t.Table.rows)
+      (Vp_store.type_partitions vp)
+  in
+  Table.make ~name:"vp_type" ~schema rows
+
 let tp_table vp (tp : Ast.triple_pattern) =
   match tp.tp_p with
   | Ast.Nvar _ -> unbound_tp_table vp tp
@@ -159,21 +168,7 @@ let tp_table vp (tp : Ast.triple_pattern) =
     | Ast.Nterm cls ->
       let t = Vp_store.type_table vp cls in
       Relops.rename_cols t [ ("s", var_name tp.tp_s) ]
-    | Ast.Nvar v ->
-      (* rdf:type with a variable object: union the per-class partitions. *)
-      let rows =
-        List.concat_map
-          (fun (cls, t) ->
-            if String.length t.Table.name >= 5
-               && String.sub t.Table.name 0 5 = "type_"
-            then
-              List.map
-                (fun row -> [| row.(0); Some cls |])
-                t.Table.rows
-            else [])
-          (Vp_store.partitions vp)
-      in
-      Table.make ~name:"vp_type" ~schema:[ var_name tp.tp_s; v ] rows
+    | Ast.Nvar v -> typed_subjects vp [ var_name tp.tp_s; v ]
   else
     let t = Vp_store.property_table vp prop in
     match tp.tp_o with
@@ -199,17 +194,7 @@ let ctp_table vp ~subject_var (ctp : Composite.ctp) =
       let t = Vp_store.type_table vp cls in
       let rows = List.map (fun row -> [| row.(0); Some cls |]) t.Table.rows in
       Table.make ~name:t.Table.name ~schema:[ subject_var; ctp.obj_var ] rows
-    | None ->
-      let rows =
-        List.concat_map
-          (fun (cls, t) ->
-            if String.length t.Table.name >= 5
-               && String.sub t.Table.name 0 5 = "type_"
-            then List.map (fun row -> [| row.(0); Some cls |]) t.Table.rows
-            else [])
-          (Vp_store.partitions vp)
-      in
-      Table.make ~name:"vp_type" ~schema:[ subject_var; ctp.obj_var ] rows
+    | None -> typed_subjects vp [ subject_var; ctp.obj_var ]
   else
     let t = Vp_store.property_table vp ctp.prop in
     let t =

@@ -18,86 +18,21 @@ let create cfg =
 
 let active cfg = cfg.policy <> Never
 
-(* Spec parsing follows the --faults / --mem conventions: comma-separated
-   key=value pairs, one-line diagnostics. *)
-
-let parse_bytes key v =
-  let fail () =
-    Error
-      (Printf.sprintf
-         "--checkpoint: %s expects a size (bytes, or with a k/m/g suffix), \
-          got %S"
-         key v)
-  in
-  let scaled digits mult =
-    match int_of_string_opt digits with
-    | Some n when n > 0 -> Ok (n * mult)
-    | _ -> fail ()
-  in
-  let n = String.length v in
-  if n = 0 then fail ()
-  else
-    match v.[n - 1] with
-    | 'k' | 'K' -> scaled (String.sub v 0 (n - 1)) 1024
-    | 'm' | 'M' -> scaled (String.sub v 0 (n - 1)) (1024 * 1024)
-    | 'g' | 'G' -> scaled (String.sub v 0 (n - 1)) (1024 * 1024 * 1024)
-    | _ -> scaled v 1
-
-let parse_int key v =
-  match int_of_string_opt v with
-  | Some n -> Ok n
-  | None ->
-      Error
-        (Printf.sprintf "--checkpoint: %s expects an integer, got %S" key v)
-
-let parse_spec spec =
-  let ( let* ) = Result.bind in
-  let parse_pair acc pair =
-    let* cfg = acc in
-    match String.index_opt pair '=' with
-    | None when String.trim pair = "never" -> Ok { cfg with policy = Never }
-    | None ->
-        Error
-          (Printf.sprintf "--checkpoint: expected key=value, got %S"
-             (String.trim pair))
-    | Some i ->
-        let key = String.trim (String.sub pair 0 i) in
-        let v =
-          String.trim
-            (String.sub pair (i + 1) (String.length pair - i - 1))
-        in
-        (match key with
-        | "every" ->
-            let* k = parse_int key v in
-            Ok { cfg with policy = Every_k k }
-        | "adaptive" ->
-            let* b = parse_bytes key v in
-            Ok { cfg with policy = Adaptive b }
-        | "replication" ->
-            let* r = parse_int key v in
-            Ok { cfg with replication = r }
-        | _ -> Error (Printf.sprintf "--checkpoint: unknown key %S" key))
-  in
-  let* cfg =
-    List.fold_left parse_pair (Ok default)
-      (String.split_on_char ',' spec |> List.filter (fun s -> s <> ""))
-  in
-  match create cfg with
-  | cfg -> Ok cfg
-  | exception Invalid_argument msg -> Error msg
-
-let pp_bytes ppf b =
-  if b >= 1024 * 1024 * 1024 && b mod (1024 * 1024 * 1024) = 0 then
-    Fmt.pf ppf "%dg" (b / (1024 * 1024 * 1024))
-  else if b >= 1024 * 1024 && b mod (1024 * 1024) = 0 then
-    Fmt.pf ppf "%dm" (b / (1024 * 1024))
-  else if b >= 1024 && b mod 1024 = 0 then Fmt.pf ppf "%dk" (b / 1024)
-  else Fmt.pf ppf "%dB" b
+let parse_spec =
+  Spec.parse ~flag:"--checkpoint"
+    ~bare:[ ("never", fun c -> { c with policy = Never }) ]
+    ~check:create
+    [
+      ("every", Spec.int (fun c k -> { c with policy = Every_k k }));
+      ("adaptive", Spec.bytes (fun c b -> { c with policy = Adaptive b }));
+      ("replication", Spec.int (fun c v -> { c with replication = v }));
+    ]
+    default
 
 let pp_policy ppf = function
   | Never -> Fmt.string ppf "never"
   | Every_k k -> Fmt.pf ppf "every-%d" k
-  | Adaptive b -> Fmt.pf ppf "adaptive-%a" pp_bytes b
+  | Adaptive b -> Fmt.pf ppf "adaptive-%a" Spec.pp_bytes b
 
 let pp ppf cfg =
   Fmt.pf ppf "checkpoint(policy=%a replication=%d)" pp_policy cfg.policy

@@ -45,10 +45,9 @@ val create : config -> config
 (** A config with any policy other than [Never] enables recovery. *)
 val active : config -> bool
 
-(** Parse a [--checkpoint] spec: comma-separated [key=value] pairs from
+(** Parse a [--checkpoint] spec in the {!Spec} format from the bare word
     [never], [every=K], [adaptive=BYTES] (with an optional k/m/g
-    suffix), [replication=N]; later policy keys override earlier ones.
-    Errors are one-line diagnostics prefixed with ["--checkpoint: "]. *)
+    suffix), [replication=N]; later policy keys override earlier ones. *)
 val parse_spec : string -> (config, string) result
 
 val pp_policy : policy Fmt.t

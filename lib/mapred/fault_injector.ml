@@ -210,81 +210,28 @@ let simulate_phase t ~job ~job_attempt ~phase ~tasks ~slots ~base_s =
     }
   end
 
-(* --- CLI spec parsing --------------------------------------------------- *)
-
-let parse_spec s =
-  let ( let* ) = Result.bind in
-  let parse_float key v =
-    match float_of_string_opt v with
-    | Some f -> Ok f
-    | None -> Error (Printf.sprintf "--faults: %s expects a number, got %S" key v)
-  in
-  let parse_int key v =
-    match int_of_string_opt v with
-    | Some i -> Ok i
-    | None ->
-      Error (Printf.sprintf "--faults: %s expects an integer, got %S" key v)
-  in
-  let parse_pair cfg pair =
-    match String.index_opt pair '=' with
-    | None ->
-      Error
-        (Printf.sprintf "--faults: expected key=value, got %S" pair)
-    | Some i -> (
-      let key = String.sub pair 0 i in
-      let v = String.sub pair (i + 1) (String.length pair - i - 1) in
-      match key with
-      | "seed" ->
-        let* seed = parse_int key v in
-        Ok { cfg with seed }
-      | "task-fail" ->
-        let* task_fail_p = parse_float key v in
-        Ok { cfg with task_fail_p }
-      | "straggler" ->
-        let* straggler_p = parse_float key v in
-        Ok { cfg with straggler_p }
-      | "slowdown" ->
-        let* straggler_slowdown = parse_float key v in
-        Ok { cfg with straggler_slowdown }
-      | "max-attempts" ->
-        let* max_attempts = parse_int key v in
-        Ok { cfg with max_attempts }
-      | "speculation" -> (
-        match v with
-        | "on" -> Ok { cfg with speculation = true }
-        | "off" -> Ok { cfg with speculation = false }
-        | _ -> Error "--faults: speculation expects on or off")
-      | "job-retries" ->
-        let* job_retries = parse_int key v in
-        Ok { cfg with job_retries }
-      | "backoff" ->
-        let* retry_backoff_s = parse_float key v in
-        Ok { cfg with retry_backoff_s }
-      | "phase" -> (
-        match v with
-        | "map" -> Ok { cfg with target = Some Map }
-        | "reduce" -> Ok { cfg with target = Some Reduce }
-        | "all" -> Ok { cfg with target = None }
-        | _ -> Error "--faults: phase expects map, reduce, or all")
-      | "poison" ->
-        let* poison_p = parse_float key v in
-        Ok { cfg with poison_p }
-      | "skip-max" ->
-        let* skip_max_records = parse_int key v in
-        Ok { cfg with skip_max_records }
-      | _ -> Error (Printf.sprintf "--faults: unknown key %S" key))
-  in
-  let* cfg =
-    List.fold_left
-      (fun acc pair ->
-        let* cfg = acc in
-        if pair = "" then Ok cfg else parse_pair cfg pair)
-      (Ok default)
-      (String.split_on_char ',' s)
-  in
-  match create cfg with
-  | t -> Ok (config t)
-  | exception Invalid_argument msg -> Error msg
+let parse_spec =
+  Spec.parse ~flag:"--faults" ~check:create
+    [
+      ("seed", Spec.int (fun c v -> { c with seed = v }));
+      ("task-fail", Spec.float (fun c v -> { c with task_fail_p = v }));
+      ("straggler", Spec.float (fun c v -> { c with straggler_p = v }));
+      ("slowdown", Spec.float (fun c v -> { c with straggler_slowdown = v }));
+      ("max-attempts", Spec.int (fun c v -> { c with max_attempts = v }));
+      ( "speculation",
+        Spec.choice ~expects:"on or off"
+          [ ("on", true); ("off", false) ]
+          (fun c v -> { c with speculation = v }) );
+      ("job-retries", Spec.int (fun c v -> { c with job_retries = v }));
+      ("backoff", Spec.float (fun c v -> { c with retry_backoff_s = v }));
+      ( "phase",
+        Spec.choice ~expects:"map, reduce, or all"
+          [ ("map", Some Map); ("reduce", Some Reduce); ("all", None) ]
+          (fun c v -> { c with target = v }) );
+      ("poison", Spec.float (fun c v -> { c with poison_p = v }));
+      ("skip-max", Spec.int (fun c v -> { c with skip_max_records = v }));
+    ]
+    default
 
 let pp ppf t =
   Fmt.pf ppf

@@ -147,11 +147,11 @@ val simulate_phase :
   base_s:float ->
   phase_sim
 
-(** [parse_spec s] reads a CLI fault spec: comma-separated [key=value]
-    pairs over [seed], [task-fail], [straggler], [slowdown],
-    [max-attempts], [speculation] ([on]/[off]), [job-retries],
-    [backoff], [phase] ([map]/[reduce]/[all]), [poison], [skip-max];
-    unspecified keys keep their {!default}.
+(** [parse_spec s] reads a CLI fault spec in the {!Spec} format over
+    [seed], [task-fail], [straggler], [slowdown], [max-attempts],
+    [speculation] ([on]/[off]), [job-retries], [backoff], [phase]
+    ([map]/[reduce]/[all]), [poison], [skip-max]; unspecified keys keep
+    their {!default}.
     E.g. ["seed=7,task-fail=0.05,straggler=0.1"]. *)
 val parse_spec : string -> (config, string) result
 

@@ -42,74 +42,16 @@ let spill_passes ~budget_bytes ~data_bytes =
 
 let oom_attempts ~max_attempts = min 2 (max 0 (max_attempts - 1))
 
-(* --- CLI spec parsing --------------------------------------------------- *)
-
-let parse_bytes key v =
-  let fail () =
-    Error
-      (Printf.sprintf
-         "--mem: %s expects a size (bytes, or with a k/m/g suffix), got %S" key
-         v)
-  in
-  let n = String.length v in
-  if n = 0 then fail ()
-  else
-    let unit_, digits =
-      match Char.lowercase_ascii v.[n - 1] with
-      | 'k' -> (1024, String.sub v 0 (n - 1))
-      | 'm' -> (1024 * 1024, String.sub v 0 (n - 1))
-      | 'g' -> (1024 * 1024 * 1024, String.sub v 0 (n - 1))
-      | _ -> (1, v)
-    in
-    match int_of_string_opt digits with
-    | Some i when i >= 0 -> Ok (i * unit_)
-    | _ -> fail ()
-
-let parse_spec s =
-  let ( let* ) = Result.bind in
-  let parse_float key v =
-    match float_of_string_opt v with
-    | Some f -> Ok f
-    | None -> Error (Printf.sprintf "--mem: %s expects a number, got %S" key v)
-  in
-  let parse_pair cfg pair =
-    match String.index_opt pair '=' with
-    | None -> Error (Printf.sprintf "--mem: expected key=value, got %S" pair)
-    | Some i -> (
-      let key = String.sub pair 0 i in
-      let v = String.sub pair (i + 1) (String.length pair - i - 1) in
-      match key with
-      | "heap" ->
-        let* task_heap_bytes = parse_bytes key v in
-        Ok { cfg with task_heap_bytes }
-      | "sort-buffer" ->
-        let* sort_buffer_bytes = parse_bytes key v in
-        Ok { cfg with sort_buffer_bytes }
-      | "spill-threshold" ->
-        let* spill_threshold = parse_float key v in
-        Ok { cfg with spill_threshold }
-      | _ -> Error (Printf.sprintf "--mem: unknown key %S" key))
-  in
-  let* cfg =
-    List.fold_left
-      (fun acc pair ->
-        let* cfg = acc in
-        if pair = "" then Ok cfg else parse_pair cfg pair)
-      (Ok default)
-      (String.split_on_char ',' s)
-  in
-  match create cfg with
-  | cfg -> Ok cfg
-  | exception Invalid_argument msg -> Error msg
-
-let pp_bytes ppf b =
-  if b >= 1024 * 1024 * 1024 && b mod (1024 * 1024 * 1024) = 0 then
-    Fmt.pf ppf "%dg" (b / (1024 * 1024 * 1024))
-  else if b >= 1024 * 1024 && b mod (1024 * 1024) = 0 then
-    Fmt.pf ppf "%dm" (b / (1024 * 1024))
-  else if b >= 1024 && b mod 1024 = 0 then Fmt.pf ppf "%dk" (b / 1024)
-  else Fmt.pf ppf "%d" b
+let parse_spec =
+  Spec.parse ~flag:"--mem" ~check:create
+    [
+      ("heap", Spec.bytes (fun c v -> { c with task_heap_bytes = v }));
+      ("sort-buffer", Spec.bytes (fun c v -> { c with sort_buffer_bytes = v }));
+      ( "spill-threshold",
+        Spec.float (fun c v -> { c with spill_threshold = v }) );
+    ]
+    default
 
 let pp ppf cfg =
-  Fmt.pf ppf "mem(heap=%a sort-buffer=%a spill-threshold=%g)" pp_bytes
-    cfg.task_heap_bytes pp_bytes cfg.sort_buffer_bytes cfg.spill_threshold
+  Fmt.pf ppf "mem(heap=%a sort-buffer=%a spill-threshold=%g)" Spec.pp_bytes
+    cfg.task_heap_bytes Spec.pp_bytes cfg.sort_buffer_bytes cfg.spill_threshold

@@ -52,11 +52,10 @@ val spill_passes : budget_bytes:int -> data_bytes:int -> int
     attempt budget, it never aborts the job. *)
 val oom_attempts : max_attempts:int -> int
 
-(** [parse_spec s] reads a CLI memory spec: comma-separated [key=value]
-    pairs over [heap], [sort-buffer] (sizes in bytes, or with a
-    [k]/[m]/[g] suffix) and [spill-threshold] (a float in (0, 1]);
-    unspecified keys keep their {!default}. E.g.
-    ["heap=64m,sort-buffer=1m"]. *)
+(** [parse_spec s] reads a CLI memory spec in the {!Spec} format over
+    [heap], [sort-buffer] (sizes in bytes, or with a [k]/[m]/[g] suffix)
+    and [spill-threshold] (a float in (0, 1]); unspecified keys keep
+    their {!default}. E.g. ["heap=64m,sort-buffer=1m"]. *)
 val parse_spec : string -> (config, string) result
 
 val pp : config Fmt.t

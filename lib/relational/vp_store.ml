@@ -63,9 +63,10 @@ let type_table store cls =
   | Some t -> t
   | None -> Table.make ~name:("type_" ^ local_name cls) ~schema:[ "s" ] []
 
-let partitions store =
-  Term_tbl.fold (fun p t acc -> (p, t) :: acc) store.props []
-  @ Term_tbl.fold (fun c t acc -> (c, t) :: acc) store.types []
+let bindings tbl = Term_tbl.fold (fun k t acc -> (k, t) :: acc) tbl []
+let property_partitions store = bindings store.props
+let type_partitions store = bindings store.types
+let partitions store = property_partitions store @ type_partitions store
 
 let stats store =
   List.fold_left

@@ -18,9 +18,11 @@ val property_table : t -> Term.t -> Table.t
     [class_]. *)
 val type_table : t -> Term.t -> Table.t
 
-(** All (property, table) partitions, type partitions keyed by class
-    term. *)
-val partitions : t -> (Term.t * Table.t) list
+(** Every (property, (s, o) table) partition except [rdf:type]. *)
+val property_partitions : t -> (Term.t * Table.t) list
+
+(** Every (class, (s) table) partition of the [rdf:type] triples. *)
+val type_partitions : t -> (Term.t * Table.t) list
 
 (** [stats store] is (number of partitions, total bytes). *)
 val stats : t -> int * int

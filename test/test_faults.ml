@@ -50,11 +50,11 @@ let lines = List.init 60 (fun i -> Printf.sprintf "alpha beta gamma %d" i)
 (* --- injector ----------------------------------------------------------- *)
 
 let test_parse_spec () =
-  match
-    Fi.parse_spec
-      "seed=9,task-fail=0.1,straggler=0.25,slowdown=2.5,max-attempts=3,\
-       speculation=off,job-retries=1,backoff=5,phase=map"
-  with
+  (match
+     Fi.parse_spec
+       "seed=9,task-fail=0.1,straggler=0.25,slowdown=2.5,max-attempts=3,\
+        speculation=off,job-retries=1,backoff=5,phase=map"
+   with
   | Error msg -> Alcotest.fail msg
   | Ok cfg ->
     check_int "seed" 9 cfg.Fi.seed;
@@ -65,25 +65,40 @@ let test_parse_spec () =
     check_bool "speculation" false cfg.Fi.speculation;
     check_int "job-retries" 1 cfg.Fi.job_retries;
     Alcotest.(check (float 0.0)) "backoff" 5.0 cfg.Fi.retry_backoff_s;
-    check_bool "phase" true (cfg.Fi.target = Some Fi.Map)
+    check_bool "phase" true (cfg.Fi.target = Some Fi.Map));
+  (* Blanks around pairs, keys and values are ignored; empty pairs are
+     skipped. *)
+  match Fi.parse_spec " seed=7 , task-fail=0.1 ,, phase = reduce " with
+  | Error msg -> Alcotest.fail msg
+  | Ok cfg ->
+    check_int "padded seed" 7 cfg.Fi.seed;
+    Alcotest.(check (float 0.0)) "padded task-fail" 0.1 cfg.Fi.task_fail_p;
+    check_bool "padded phase" true (cfg.Fi.target = Some Fi.Reduce)
 
 let test_parse_spec_errors () =
-  let expect_error spec =
+  (* Format errors carry the flag's prefix; range errors come from
+     [Fault_injector.create]. *)
+  let expect_error (spec, prefix) =
     match Fi.parse_spec spec with
     | Ok _ -> Alcotest.failf "%S should not parse" spec
-    | Error msg -> check_bool "non-empty diagnostic" true (msg <> "")
+    | Error msg ->
+      check_bool
+        (Printf.sprintf "%S: %S starts with %S" spec msg prefix)
+        true
+        (String.starts_with ~prefix msg && not (String.contains msg '\n'))
   in
   List.iter expect_error
     [
-      "task-fail=lots";
-      "seed";
-      "bogus=1";
-      "speculation=maybe";
-      "phase=both";
-      "task-fail=1.5";
-      "straggler=-0.1";
-      "max-attempts=0";
-      "slowdown=0.5";
+      ("task-fail=lots", "--faults: task-fail expects a number");
+      ("seed", "--faults: expected key=value");
+      ("bogus=1", "--faults: unknown key");
+      ("speculation=maybe", "--faults: speculation expects on or off");
+      ("phase=both", "--faults: phase expects map, reduce, or all");
+      (" seed = x ", "--faults: seed expects an integer, got \"x\"");
+      ("task-fail=1.5", "Fault_injector.create:");
+      ("straggler=-0.1", "Fault_injector.create:");
+      ("max-attempts=0", "Fault_injector.create:");
+      ("slowdown=0.5", "Fault_injector.create:");
     ]
 
 let test_outcome_deterministic () =

@@ -25,12 +25,24 @@ let run_engine kind ctx input q =
 (* --- spec parsing ------------------------------------------------------- *)
 
 let test_parse_spec () =
-  match Memory.parse_spec "heap=64m,sort-buffer=512k,spill-threshold=0.5" with
+  (match Memory.parse_spec "heap=64m,sort-buffer=512k,spill-threshold=0.5" with
   | Error msg -> Alcotest.fail msg
   | Ok cfg ->
     check_int "heap" (64 * 1024 * 1024) cfg.Memory.task_heap_bytes;
     check_int "sort-buffer" (512 * 1024) cfg.Memory.sort_buffer_bytes;
-    Alcotest.(check (float 0.0)) "spill-threshold" 0.5 cfg.Memory.spill_threshold
+    Alcotest.(check (float 0.0)) "spill-threshold" 0.5
+      cfg.Memory.spill_threshold);
+  (* Blank-padded pairs, keys and values; size suffixes in either case. *)
+  match
+    Memory.parse_spec "heap = 64M , sort-buffer=2K, spill-threshold= 0.5"
+  with
+  | Error msg -> Alcotest.fail msg
+  | Ok cfg ->
+    check_int "padded heap, upper M" (64 * 1024 * 1024)
+      cfg.Memory.task_heap_bytes;
+    check_int "upper K" (2 * 1024) cfg.Memory.sort_buffer_bytes;
+    Alcotest.(check (float 0.0)) "padded threshold" 0.5
+      cfg.Memory.spill_threshold
 
 let test_parse_spec_defaults () =
   (* Unspecified keys keep their defaults; suffixes are optional. *)
@@ -44,23 +56,49 @@ let test_parse_spec_defaults () =
       Memory.default.Memory.spill_threshold cfg.Memory.spill_threshold
 
 let test_parse_spec_errors () =
-  let expect_error spec =
+  (* Format errors carry the flag's prefix; range errors come from
+     [Memory.create]. *)
+  let expect_error (spec, prefix) =
     match Memory.parse_spec spec with
     | Ok _ -> Alcotest.failf "%S should not parse" spec
-    | Error msg -> check_bool "non-empty diagnostic" true (msg <> "")
+    | Error msg ->
+      check_bool
+        (Printf.sprintf "%S: %S starts with %S" spec msg prefix)
+        true
+        (String.starts_with ~prefix msg && not (String.contains msg '\n'))
   in
+  let size = "expects a size (bytes, or with a k/m/g suffix)" in
   List.iter expect_error
     [
-      "heap=banana";
-      "heap";
-      "bogus=1";
-      "heap=-4k";
-      "heap=0";
-      "sort-buffer=1t";
-      "spill-threshold=0";
-      "spill-threshold=1.5";
-      "spill-threshold=lots";
+      ("heap=banana", "--mem: heap " ^ size ^ ", got \"banana\"");
+      ("heap", "--mem: expected key=value");
+      ("bogus=1", "--mem: unknown key \"bogus\"");
+      ("heap=-4k", "--mem: heap " ^ size);
+      ("heap=", "--mem: heap " ^ size);
+      ("sort-buffer=1t", "--mem: sort-buffer " ^ size);
+      ("sort-buffer = 1 T", "--mem: sort-buffer " ^ size ^ ", got \"1 T\"");
+      ("spill-threshold=lots", "--mem: spill-threshold expects a number");
+      ("heap=0", "Memory.create:");
+      ("spill-threshold=0", "Memory.create:");
+      ("spill-threshold=1.5", "Memory.create:");
     ]
+
+(* Unreachable through the tables: every size [Spec.pp_bytes] prints
+   reads back through [Spec.bytes] as the same count. *)
+let test_spec_bytes_round_trip () =
+  let module Spec = Rapida_mapred.Spec in
+  let read =
+    Spec.parse ~flag:"--size" ~check:Fun.id
+      [ ("n", Spec.bytes (fun _ n -> n)) ]
+      0
+  in
+  List.iter
+    (fun b ->
+      let printed = Fmt.str "%a" Spec.pp_bytes b in
+      match read ("n=" ^ printed) with
+      | Ok n -> check_int printed b n
+      | Error msg -> Alcotest.fail msg)
+    [ 0; 1; 1000; 1024; 1536; 64 * 1024 * 1024; 3 * 1024 * 1024 * 1024 ]
 
 (* --- external-sort pass math -------------------------------------------- *)
 
@@ -288,6 +326,8 @@ let suite =
     Alcotest.test_case "parse spec" `Quick test_parse_spec;
     Alcotest.test_case "parse spec defaults" `Quick test_parse_spec_defaults;
     Alcotest.test_case "parse spec errors" `Quick test_parse_spec_errors;
+    Alcotest.test_case "spec sizes round-trip" `Quick
+      test_spec_bytes_round_trip;
     Alcotest.test_case "spill pass edges" `Quick test_spill_passes_edges;
     Alcotest.test_case "spill passes monotone in budget" `Quick
       test_spill_passes_monotone;

@@ -70,30 +70,44 @@ let test_parse_spec () =
   (match Ck.parse_spec "never" with
   | Ok cfg -> check_bool "never" false (Ck.active cfg)
   | Error msg -> Alcotest.fail msg);
-  match Ck.parse_spec "every=3,adaptive=1k" with
+  (match Ck.parse_spec "every=3,adaptive=1k" with
   | Ok cfg ->
     (* later policy keys override earlier ones *)
     check_bool "last policy wins" true (cfg.Ck.policy = Ck.Adaptive 1024)
+  | Error msg -> Alcotest.fail msg);
+  (match Ck.parse_spec " every = 2 , replication=2 , never " with
+  | Ok cfg ->
+    check_bool "padded bare word" false (Ck.active cfg);
+    check_int "padded replication" 2 cfg.Ck.replication
+  | Error msg -> Alcotest.fail msg);
+  match Ck.parse_spec "adaptive=3G" with
+  | Ok cfg ->
+    check_bool "upper G" true
+      (cfg.Ck.policy = Ck.Adaptive (3 * 1024 * 1024 * 1024))
   | Error msg -> Alcotest.fail msg
 
 let test_parse_spec_errors () =
-  let expect_error spec =
+  (* Format errors carry the flag's prefix; range errors (a zero
+     adaptive budget included) come from [Checkpoint.create]. *)
+  let expect_error (spec, prefix) =
     match Ck.parse_spec spec with
     | Ok _ -> Alcotest.failf "%S should not parse" spec
     | Error msg ->
-      check_bool "one-line diagnostic" true
-        (msg <> "" && not (String.contains msg '\n'))
+      check_bool
+        (Printf.sprintf "%S: %S starts with %S" spec msg prefix)
+        true
+        (String.starts_with ~prefix msg && not (String.contains msg '\n'))
   in
   List.iter expect_error
     [
-      "every=0";
-      "every=x";
-      "adaptive=0";
-      "adaptive=-4k";
-      "replication=0";
-      "bogus=1";
-      "every";
-      "always";
+      ("every=x", "--checkpoint: every expects an integer, got \"x\"");
+      ("adaptive=-4k", "--checkpoint: adaptive expects a size");
+      ("bogus=1", "--checkpoint: unknown key \"bogus\"");
+      ("every", "--checkpoint: expected key=value, got \"every\"");
+      (" always ", "--checkpoint: expected key=value, got \"always\"");
+      ("every=0", "Checkpoint.create:");
+      ("adaptive=0", "Checkpoint.create: adaptive budget");
+      ("replication=0", "Checkpoint.create:");
     ]
 
 (* --- manager pricing ---------------------------------------------------- *)
