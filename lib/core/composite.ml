@@ -275,18 +275,11 @@ let sec_reqs t star =
       else Some (req_of c))
     star.ctps
 
-let req_present (tg : Triplegroup.t) (r : Ops.prop_req) =
-  List.exists
-    (fun (tr : Triple.t) ->
-      Term.equal tr.p r.prop
-      && match r.obj with None -> true | Some o -> Term.equal tr.o o)
-    tg.triples
-
 let alpha_holds alpha (joined : Joined.t) =
   List.for_all
     (fun (cs_id, r) ->
       match Joined.part joined cs_id with
-      | Some tg -> req_present tg r
+      | Some tg -> Ops.satisfies tg r
       | None -> false)
     alpha
 

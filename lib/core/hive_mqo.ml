@@ -63,13 +63,12 @@ let witness_cols composite (info : Composite.pattern_info) =
 let extract_and_aggregate wf composite q_opt (sq : Analytical.subquery)
     (info : Composite.pattern_info) =
   (* Map-side: keep rows where the pattern's secondary witnesses bound. *)
-  let witnesses = witness_cols composite info in
+  let witnesses =
+    List.map (Table.col_index q_opt) (witness_cols composite info)
+  in
   let filtered =
     Relops.filter
-      (fun t row ->
-        List.for_all
-          (fun col -> row.(Table.col_index t col) <> None)
-          witnesses)
+      (fun row -> List.for_all (fun i -> row.(i) <> None) witnesses)
       q_opt
   in
   (* One MR cycle: distinct bindings of the original pattern (the left

@@ -135,14 +135,15 @@ let unbound_tp_table vp (tp : Ast.triple_pattern) =
       ([], [], [])
       [ ("!o", tp.tp_o); ("!p", tp.tp_p); ("!s", tp.tp_s) ]
   in
+  let constraints =
+    List.map (fun (col, c) -> (Table.col_index t col, c)) constraints
+  in
   let t =
     Relops.filter
-      (fun tbl row ->
+      (fun row ->
         List.for_all
-          (fun (col, c) ->
-            match row.(Table.col_index tbl col) with
-            | Some v -> Term.equal v c
-            | None -> false)
+          (fun (i, c) ->
+            match row.(i) with Some v -> Term.equal v c | None -> false)
           constraints)
       t
   in
@@ -158,6 +159,12 @@ let typed_subjects vp schema =
       (Vp_store.type_partitions vp)
   in
   Table.make ~name:"vp_type" ~schema rows
+
+(* The row test "the object column of partition [t] holds [c]". *)
+let object_is t c =
+  let o = Table.col_index t "o" in
+  fun (row : Table.row) ->
+    match row.(o) with Some v -> Term.equal v c | None -> false
 
 let tp_table vp (tp : Ast.triple_pattern) =
   match tp.tp_p with
@@ -175,14 +182,7 @@ let tp_table vp (tp : Ast.triple_pattern) =
     | Ast.Nvar v ->
       Relops.rename_cols t [ ("s", var_name tp.tp_s); ("o", v) ]
     | Ast.Nterm c ->
-      let filtered =
-        Relops.filter
-          (fun tbl row ->
-            match row.(Table.col_index tbl "o") with
-            | Some o -> Term.equal o c
-            | None -> false)
-          t
-      in
+      let filtered = Relops.filter (object_is t c) t in
       Relops.project
         (Relops.rename_cols filtered [ ("s", var_name tp.tp_s) ])
         [ var_name tp.tp_s ]
@@ -200,13 +200,7 @@ let ctp_table vp ~subject_var (ctp : Composite.ctp) =
     let t =
       match ctp.obj_const with
       | None -> t
-      | Some c ->
-        Relops.filter
-          (fun tbl row ->
-            match row.(Table.col_index tbl "o") with
-            | Some o -> Term.equal o c
-            | None -> false)
-          t
+      | Some c -> Relops.filter (object_is t c) t
     in
     Relops.rename_cols t [ ("s", subject_var); ("o", ctp.obj_var) ]
 
@@ -224,28 +218,19 @@ let star_schema subject required optional =
   in
   subject :: List.concat_map non_subject (required @ optional)
 
-(* Merge one row per table (optional tables may miss) into the star
-   schema. *)
-let merge_star_row subject required optional per_table =
-  let cells = ref [] in
-  List.iteri
-    (fun i t ->
-      let row = List.nth per_table i in
-      List.iteri
-        (fun ci col ->
-          if not (String.equal col subject) then
-            cells :=
-              (match row with
-              | Some r -> r.(ci)
-              | None -> None)
-              :: !cells)
-        t.Table.schema)
-    (required @ optional);
-  !cells
+(* The positions of each table's non-subject columns, in star-schema
+   order: resolved once per star join, read for every output row. *)
+let star_cols subject tables =
+  List.map
+    (fun t ->
+      List.concat
+        (List.mapi
+           (fun i col -> if String.equal col subject then [] else [ i ])
+           t.Table.schema))
+    tables
 
-let star_join_rows subject required optional key groups =
+let star_join_rows ~n_req cols key groups =
   (* [groups.(i)] = rows of table i for this subject key. *)
-  let n_req = List.length required in
   let req_groups = Array.sub groups 0 n_req in
   if Array.exists (fun g -> g = []) req_groups then []
   else
@@ -266,29 +251,39 @@ let star_join_rows subject required optional key groups =
           List.concat_map (fun prefix -> List.map (fun r -> prefix @ [ r ]) slot) acc)
         [ [] ] slots
     in
+    (* Merge one row per table (optional tables may miss) into the star
+       schema. *)
+    let cells idx = function
+      | Some (r : Table.row) -> List.map (fun i -> r.(i)) idx
+      | None -> List.map (fun _ -> None) idx
+    in
     List.map
       (fun per_table ->
-        let tail = merge_star_row subject required optional per_table in
-        Array.of_list (Some key :: List.rev tail))
+        Array.of_list
+          (Some key :: List.concat (List.map2 cells cols per_table)))
       combos
 
 let star_join_mr wf ~name ~required ~optional =
   let subject = star_subject_col required in
   let all = required @ optional in
+  (* Each input row carries its table's subject position. *)
   let tagged =
     List.concat
       (List.mapi
-         (fun i t -> List.map (fun row -> (i, t, row)) t.Table.rows)
+         (fun i t ->
+           let s = Table.col_index t subject in
+           List.map (fun row -> (i, s, row)) t.Table.rows)
          all)
   in
   let n = List.length all in
-  let spec : ((int * Table.t * Table.row), Term.t, (int * Table.row),
+  let n_req = List.length required and cols = star_cols subject all in
+  let spec : ((int * int * Table.row), Term.t, (int * Table.row),
               Table.row) Job.spec =
     {
       name;
       map =
-        (fun (i, t, row) ->
-          match row.(Table.col_index t subject) with
+        (fun (i, s, row) ->
+          match row.(s) with
           | Some key -> [ (key, (i, row)) ]
           | None -> []);
       combine = None;
@@ -297,7 +292,7 @@ let star_join_mr wf ~name ~required ~optional =
           let groups = Array.make n [] in
           List.iter (fun (i, row) -> groups.(i) <- row :: groups.(i)) tagged;
           Array.iteri (fun i g -> groups.(i) <- List.rev g) groups;
-          star_join_rows subject required optional key groups);
+          star_join_rows ~n_req cols key groups);
       input_size = (fun (_, _, row) -> Table.row_size_bytes row);
       key_size = (fun key -> String.length (Term.lexical key) + 2);
       value_size = (fun (_, row) -> Table.row_size_bytes row + 1);
@@ -311,6 +306,7 @@ let star_join_map_only wf ~name ~required ~optional ~stream_index =
   let subject = star_subject_col required in
   let all = required @ optional in
   let n = List.length all in
+  let n_req = List.length required and cols = star_cols subject all in
   let stream = List.nth all stream_index in
   (* Hash every non-streamed table by subject. *)
   let indexes =
@@ -319,9 +315,10 @@ let star_join_map_only wf ~name ~required ~optional ~stream_index =
         if i = stream_index then None
         else begin
           let tbl = Hashtbl.create (max 16 (Table.cardinality t)) in
+          let s = Table.col_index t subject in
           List.iter
             (fun row ->
-              match row.(Table.col_index t subject) with
+              match row.(s) with
               | Some key ->
                 let existing =
                   Option.value ~default:[] (Hashtbl.find_opt tbl key)
@@ -333,12 +330,13 @@ let star_join_map_only wf ~name ~required ~optional ~stream_index =
         end)
       all
   in
+  let stream_subject = Table.col_index stream subject in
   let spec : (Table.row, Table.row) Job.map_only_spec =
     {
       mo_name = name;
       mo_map =
         (fun row ->
-          match row.(Table.col_index stream subject) with
+          match row.(stream_subject) with
           | None -> []
           | Some key ->
             let groups = Array.make n [] in
@@ -351,7 +349,7 @@ let star_join_map_only wf ~name ~required ~optional ~stream_index =
                     Option.value ~default:[] (Hashtbl.find_opt tbl key)
                     |> List.rev))
               indexes;
-            star_join_rows subject required optional key groups);
+            star_join_rows ~n_req cols key groups);
       mo_input_size = Table.row_size_bytes;
       mo_output_size = Table.row_size_bytes;
     }
@@ -431,8 +429,8 @@ let apply_ready_filters table filters =
   | _ ->
     let table =
       Relops.filter
-        (fun t row ->
-          let b = row_binding t row in
+        (fun row ->
+          let b = row_binding table row in
           List.for_all (Binding.eval_filter b) ready)
         table
     in
@@ -469,8 +467,8 @@ let apply_having (sq : Analytical.subquery) table =
   | [] -> table
   | having ->
     Relops.filter
-      (fun t row ->
-        let b = row_binding t row in
+      (fun row ->
+        let b = row_binding table row in
         List.for_all (Binding.eval_filter b) having)
       table
 
@@ -562,7 +560,7 @@ let push_star_filters (star : Rapida_sparql.Star.t) filters =
                   else true)
                 tg.Rapida_ntga.Triplegroup.triples
             in
-            Some { tg with Rapida_ntga.Triplegroup.triples }
+            Some (Rapida_ntga.Triplegroup.make tg.subject triples)
           | _ -> Some tg))
       (Some tg) pushed
   in

@@ -60,13 +60,7 @@ let star_source planner store filters (star : Star.t) =
       if unbound then
         (* Unbound-property patterns can match any triple: check the
            bound requirements but keep the whole triplegroup. *)
-        if
-          List.for_all
-            (fun (r : Ops.prop_req) ->
-              Ops.group_filter ~required:[ r ] [ tg ] <> [])
-            reqs
-        then Some tg
-        else None
+        if List.for_all (Ops.satisfies tg) reqs then Some tg else None
       else (
         match Ops.group_filter ~required:reqs [ tg ] with
         | [ tg' ] -> Some tg'

@@ -1,8 +1,10 @@
 open Rapida_rdf
 
-type t = { parts : (int * Triplegroup.t) list }
+type t = { parts : (int * Triplegroup.t) list; size : int }
 
-let of_tg i tg = { parts = [ (i, tg) ] }
+let empty = { parts = []; size = 4 }
+
+let of_tg i tg = { parts = [ (i, tg) ]; size = 4 + Triplegroup.size_bytes tg }
 
 let join a b =
   List.iter
@@ -10,7 +12,11 @@ let join a b =
       if List.mem_assoc i b.parts then
         invalid_arg "Joined.join: duplicate star index")
     a.parts;
-  { parts = List.sort (fun (i, _) (j, _) -> Int.compare i j) (a.parts @ b.parts) }
+  {
+    parts = List.sort (fun (i, _) (j, _) -> Int.compare i j) (a.parts @ b.parts);
+    (* Each side counts the 4-byte header once; the result keeps one. *)
+    size = a.size + b.size - 4;
+  }
 
 let part t i = List.assoc_opt i t.parts
 
@@ -20,8 +26,7 @@ let all_props t =
 
 let has_prop t p = List.exists (fun (_, tg) -> Triplegroup.has_prop tg p) t.parts
 
-let size_bytes t =
-  List.fold_left (fun acc (_, tg) -> acc + Triplegroup.size_bytes tg) 4 t.parts
+let size_bytes t = t.size
 
 let pp ppf t =
   Fmt.pf ppf "@[<v 2>joined:@ %a@]"

@@ -4,7 +4,15 @@
 
 open Rapida_rdf
 
-type t = { parts : (int * Triplegroup.t) list }  (** sorted by star index *)
+(** Private so that [size] always holds {!size_bytes}: {!of_tg} and
+    {!join} set it, which makes pricing a joined triplegroup O(1). *)
+type t = private {
+  parts : (int * Triplegroup.t) list;  (** sorted by star index *)
+  size : int;
+}
+
+(** [empty] has no parts; [join empty t] is [t]. *)
+val empty : t
 
 val of_tg : int -> Triplegroup.t -> t
 
@@ -21,5 +29,7 @@ val all_props : t -> Term.t list
 (** [has_prop t p] tests whether any part contains property [p]. *)
 val has_prop : t -> Term.t -> bool
 
+(** Serialized size estimate: a 4-byte header plus each part's
+    {!Triplegroup.size_bytes}. *)
 val size_bytes : t -> int
 val pp : t Fmt.t

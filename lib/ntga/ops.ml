@@ -6,34 +6,24 @@ type prop_req = { prop : Term.t; obj : Term.t option }
 
 let req ?obj prop = { prop; obj }
 
-let satisfies_req (tg : Triplegroup.t) r =
-  List.exists
-    (fun (t : Triple.t) ->
-      Term.equal t.p r.prop
-      && match r.obj with None -> true | Some o -> Term.equal t.o o)
-    tg.triples
+let req_matches (t : Triple.t) r =
+  Term.equal t.p r.prop
+  && match r.obj with None -> true | Some o -> Term.equal t.o o
+
+let satisfies (tg : Triplegroup.t) r =
+  List.exists (fun t -> req_matches t r) tg.triples
 
 (* Projection keeping triples relevant to the given requirements: a triple
    survives if some requirement mentions its property and, when that
    requirement constrains the object, the object matches. *)
 let project_reqs (tg : Triplegroup.t) reqs =
-  {
-    tg with
-    Triplegroup.triples =
-      List.filter
-        (fun (t : Triple.t) ->
-          List.exists
-            (fun r ->
-              Term.equal t.p r.prop
-              && match r.obj with None -> true | Some o -> Term.equal t.o o)
-            reqs)
-        tg.Triplegroup.triples;
-  }
+  Triplegroup.make tg.subject
+    (List.filter (fun t -> List.exists (req_matches t) reqs) tg.triples)
 
 let group_filter ~required tgs =
   List.filter_map
     (fun tg ->
-      if List.for_all (satisfies_req tg) required then
+      if List.for_all (satisfies tg) required then
         Some (project_reqs tg required)
       else None)
     tgs
@@ -41,7 +31,7 @@ let group_filter ~required tgs =
 let opt_group_filter ~prim ~opt tgs =
   List.filter_map
     (fun tg ->
-      if List.for_all (satisfies_req tg) prim then
+      if List.for_all (satisfies tg) prim then
         Some (project_reqs tg (prim @ opt))
       else None)
     tgs

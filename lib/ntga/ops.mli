@@ -14,6 +14,11 @@ type prop_req = { prop : Term.t; obj : Term.t option }
 
 val req : ?obj:Term.t -> Term.t -> prop_req
 
+(** [satisfies tg r] tests whether some triple of [tg] matches [r]: the
+    membership test of {!group_filter}, without building the projected
+    triplegroup. *)
+val satisfies : Triplegroup.t -> prop_req -> bool
+
 (** [group_filter ~required tgs] keeps triplegroups containing a match for
     every requirement, projected to the required properties — the classic
     NTGA TG_GroupFilter. *)

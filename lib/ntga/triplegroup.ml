@@ -1,8 +1,11 @@
 open Rapida_rdf
 
-type t = { subject : Term.t; triples : Triple.t list }
+type t = { subject : Term.t; triples : Triple.t list; mutable size : int }
 
-let make subject triples = { subject; triples }
+(* [size] is -1 until [size_bytes] first reads it. Computing it here
+   instead would price every intermediate triplegroup a pushed filter
+   builds, and nothing ever asks for most of those sizes. *)
+let make subject triples = { subject; triples; size = -1 }
 
 let props tg =
   List.map (fun (t : Triple.t) -> t.p) tg.triples
@@ -17,13 +20,10 @@ let objects_of tg p =
     tg.triples
 
 let project tg keep =
-  {
-    tg with
-    triples =
-      List.filter
-        (fun (t : Triple.t) -> List.exists (Term.equal t.p) keep)
-        tg.triples;
-  }
+  make tg.subject
+    (List.filter
+       (fun (t : Triple.t) -> List.exists (Term.equal t.p) keep)
+       tg.triples)
 
 let union a b =
   if not (Term.equal a.subject b.subject) then
@@ -34,13 +34,16 @@ let union a b =
         (fun t -> not (List.exists (Triple.equal t) a.triples))
         b.triples
     in
-    { a with triples = a.triples @ extra }
+    make a.subject (a.triples @ extra)
 
 let of_graph g =
   Graph.fold_subject_groups g (fun s triples acc -> make s triples :: acc) []
 
 let size_bytes tg =
-  List.fold_left (fun acc t -> acc + Triple.size_bytes t) 4 tg.triples
+  if tg.size < 0 then
+    tg.size <-
+      List.fold_left (fun acc t -> acc + Triple.size_bytes t) 4 tg.triples;
+  tg.size
 
 let compare a b =
   let c = Term.compare a.subject b.subject in

@@ -8,7 +8,13 @@
 
 open Rapida_rdf
 
-type t = { subject : Term.t; triples : Triple.t list }
+(** Private so that every triplegroup is built through {!make}, which
+    leaves [size] unset; {!size_bytes} fills it on first use. *)
+type t = private {
+  subject : Term.t;
+  triples : Triple.t list;
+  mutable size : int;  (** memo of {!size_bytes}; [-1] until first read *)
+}
 
 val make : Term.t -> Triple.t list -> t
 
@@ -32,7 +38,10 @@ val union : t -> t -> t
 (** [of_graph g] is all subject triplegroups of a graph. *)
 val of_graph : Graph.t -> t list
 
-(** Serialized size estimate for MapReduce cost accounting. *)
+(** Serialized size estimate for MapReduce cost accounting: 4 bytes of
+    header plus {!Rapida_rdf.Triple.size_bytes} of each triple. Computed
+    on first use and memoized in the triplegroup, so pricing the same
+    triplegroup again (a stored one is read by every query) is O(1). *)
 val size_bytes : t -> int
 
 val compare : t -> t -> int

@@ -18,7 +18,16 @@ let compare a b =
     if c <> 0 then c else String.compare x.lex y.lex
   | _ -> Int.compare (rank a) (rank b)
 
-let equal a b = compare a b = 0
+(* The same relation as [compare a b = 0], without ordering anything:
+   the predicate test of every triplegroup filter runs through here. *)
+let equal a b =
+  a == b
+  ||
+  match a, b with
+  | Iri x, Iri y | Bnode x, Bnode y -> String.equal x y
+  | Literal x, Literal y ->
+    x.datatype = y.datatype && String.equal x.lex y.lex
+  | (Iri _ | Literal _ | Bnode _), _ -> false
 
 let hash = function
   | Iri s -> Hashtbl.hash (0, s)

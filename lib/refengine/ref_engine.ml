@@ -97,7 +97,7 @@ let eval_subquery g (sq : Analytical.subquery) =
   | [] -> table
   | having ->
     Relops.filter
-      (fun t row ->
+      (fun row ->
         let b =
           List.fold_left
             (fun (b, i) col ->
@@ -107,7 +107,7 @@ let eval_subquery g (sq : Analytical.subquery) =
                 | None -> b
               in
               (b, i + 1))
-            (Binding.empty, 0) t.Table.schema
+            (Binding.empty, 0) table.Table.schema
           |> fst
         in
         List.for_all (Binding.eval_filter b) having)

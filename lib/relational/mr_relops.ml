@@ -18,17 +18,19 @@ type side = L | R
 let repartition_join wf ?(kind = `Inner) ~name a b =
   let shared = Relops.shared_cols a b in
   let schema = Relops.join_schema a b in
-  let tag side t row = (side, t, row) in
-  let input = List.map (tag L a) a.Table.rows @ List.map (tag R b) b.Table.rows in
-  let spec : ((side * Table.t * Table.row),
+  let key_l = Relops.key_of_row a shared and key_r = Relops.key_of_row b shared in
+  let merge = Relops.merge_rows a b and pad = Relops.null_extend a b in
+  let tag side row = (side, row) in
+  let input = List.map (tag L) a.Table.rows @ List.map (tag R) b.Table.rows in
+  let spec : ((side * Table.row),
               Term.t list option,
               (side * Table.row),
               Table.row) Job.spec =
     {
       name;
       map =
-        (fun (side, t, row) ->
-          match Relops.key_of_row t shared row with
+        (fun (side, row) ->
+          match (match side with L -> key_l | R -> key_r) row with
           | Some key -> [ (Some key, (side, row)) ]
           | None -> (
             (* NULL join keys never match; in a left-outer join the left
@@ -41,9 +43,7 @@ let repartition_join wf ?(kind = `Inner) ~name a b =
         (fun key tagged ->
           match key with
           | None ->
-            List.map
-              (fun (_, row) -> Relops.null_extend a b ~left_row:row)
-              tagged
+            List.map (fun (_, row) -> pad ~left_row:row) tagged
           | Some _ ->
             let lefts =
               List.filter_map (function L, r -> Some r | R, _ -> None) tagged
@@ -54,15 +54,12 @@ let repartition_join wf ?(kind = `Inner) ~name a b =
             List.concat_map
               (fun left_row ->
                 match rights, kind with
-                | [], `Left_outer -> [ Relops.null_extend a b ~left_row ]
+                | [], `Left_outer -> [ pad ~left_row ]
                 | [], `Inner -> []
                 | rights, (`Inner | `Left_outer) ->
-                  List.map
-                    (fun right_row ->
-                      Relops.merge_rows a b ~left_row ~right_row)
-                    rights)
+                  List.map (fun right_row -> merge ~left_row ~right_row) rights)
               lefts);
-      input_size = (fun (_, _, row) -> Table.row_size_bytes row);
+      input_size = (fun (_, row) -> Table.row_size_bytes row);
       key_size =
         (fun key -> match key with Some k -> key_size k | None -> 4);
       value_size = (fun (_, row) -> Table.row_size_bytes row + 1);

@@ -9,8 +9,7 @@ type agg_spec = {
   out : string;
 }
 
-let filter pred t =
-  { t with Table.rows = List.filter (pred t) t.Table.rows }
+let filter pred t = { t with Table.rows = List.filter pred t.Table.rows }
 
 let project t cols =
   let idx = List.map (Table.col_index t) cols in
@@ -35,33 +34,35 @@ let right_only_cols a b =
 
 let join_schema a b = a.Table.schema @ right_only_cols a b
 
-let merge_rows a b ~left_row ~right_row =
-  let extra = right_only_cols a b in
-  let extras =
-    List.map (fun c -> right_row.(Table.col_index b c)) extra
+let merge_rows a b =
+  let extra =
+    Array.of_list (List.map (Table.col_index b) (right_only_cols a b))
   in
-  Array.append left_row (Array.of_list extras)
+  fun ~left_row ~right_row ->
+    Array.append left_row (Array.map (fun i -> right_row.(i)) extra)
 
-let null_extend a b ~left_row =
-  let extra = right_only_cols a b in
-  Array.append left_row (Array.make (List.length extra) None)
+let null_extend a b =
+  let pad = Array.make (List.length (right_only_cols a b)) None in
+  fun ~left_row -> Array.append left_row pad
 
-let key_of_row t cols row =
-  let rec go acc = function
-    | [] -> Some (List.rev acc)
-    | c :: rest -> (
-      match row.(Table.col_index t c) with
-      | Some v -> go (v :: acc) rest
-      | None -> None)
-  in
-  go [] cols
+let key_of_row t cols =
+  let idx = List.map (Table.col_index t) cols in
+  fun row ->
+    let rec go acc = function
+      | [] -> Some (List.rev acc)
+      | i :: rest -> (
+        match row.(i) with Some v -> go (v :: acc) rest | None -> None)
+    in
+    go [] idx
 
 let hash_probe ?(kind = `Inner) a b =
   let shared = shared_cols a b in
+  let key_a = key_of_row a shared and key_b = key_of_row b shared in
+  let merge = merge_rows a b and pad = null_extend a b in
   let index = Hashtbl.create (max 16 (Table.cardinality b)) in
   List.iter
     (fun row ->
-      match key_of_row b shared row with
+      match key_b row with
       | Some key ->
         let existing = Option.value ~default:[] (Hashtbl.find_opt index key) in
         Hashtbl.replace index key (row :: existing)
@@ -69,16 +70,16 @@ let hash_probe ?(kind = `Inner) a b =
     b.Table.rows;
   fun left_row ->
     let matches =
-      match key_of_row a shared left_row with
+      match key_a left_row with
       | Some key ->
         Option.value ~default:[] (Hashtbl.find_opt index key) |> List.rev
       | None -> []
     in
     match matches, kind with
     | [], `Inner -> []
-    | [], `Left_outer -> [ null_extend a b ~left_row ]
+    | [], `Left_outer -> [ pad ~left_row ]
     | rows, (`Inner | `Left_outer) ->
-      List.map (fun right_row -> merge_rows a b ~left_row ~right_row) rows
+      List.map (fun right_row -> merge ~left_row ~right_row) rows
 
 let hash_join ?kind ~name a b =
   let rows = List.concat_map (hash_probe ?kind a b) a.Table.rows in
@@ -239,8 +240,22 @@ let order_limit ~order_by ~limit t =
     match order_by with
     | [] -> t.Table.rows
     | keys ->
+      (* Positions are resolved once; an unknown column still fails only
+         when two rows are compared. *)
+      let keys =
+        List.map
+          (fun key ->
+            let col, flip =
+              match key with
+              | Rapida_sparql.Ast.Asc c -> (c, 1)
+              | Rapida_sparql.Ast.Desc c -> (c, -1)
+            in
+            match Table.col_index t col with
+            | i -> ((fun (row : Table.row) -> row.(i)), flip)
+            | exception Not_found -> ((fun _ -> raise Not_found), flip))
+          keys
+      in
       let key_compare a b =
-        let cell_value row col = row.(Table.col_index t col) in
         let value_compare x y =
           match x, y with
           | None, None -> 0
@@ -253,13 +268,8 @@ let order_limit ~order_by ~limit t =
         in
         let rec go = function
           | [] -> row_compare a b
-          | key :: rest ->
-            let col, flip =
-              match key with
-              | Rapida_sparql.Ast.Asc c -> (c, 1)
-              | Rapida_sparql.Ast.Desc c -> (c, -1)
-            in
-            let c = flip * value_compare (cell_value a col) (cell_value b col) in
+          | (cell, flip) :: rest ->
+            let c = flip * value_compare (cell a) (cell b) in
             if c <> 0 then c else go rest
         in
         go keys

@@ -17,7 +17,9 @@ type agg_spec = {
   out : string;
 }
 
-val filter : (Table.t -> Table.row -> bool) -> Table.t -> Table.t
+(** [filter pred t] keeps the rows satisfying [pred]. Resolve the
+    columns [pred] reads before building it, not once per row. *)
+val filter : (Table.row -> bool) -> Table.t -> Table.t
 
 (** [project t cols] keeps [cols] in order.
     @raise Not_found on a missing column. *)
@@ -33,6 +35,13 @@ val shared_cols : Table.t -> Table.t -> string list
     columns — the schema a natural join produces. *)
 val join_schema : Table.t -> Table.t -> string list
 
+(** {2 Staged row functions}
+
+    The next three functions resolve column positions when partially
+    applied to their tables and return a per-row function. They are
+    meant to be applied once per operator and the result bound: applying
+    them to every row redoes the column lookups each time. *)
+
 (** [merge_rows a b ~left_row ~right_row] builds an output row of
     [join_schema a b] from matched rows. *)
 val merge_rows :
@@ -43,7 +52,8 @@ val merge_rows :
 val null_extend : Table.t -> Table.t -> left_row:Table.row -> Table.row
 
 (** [key_of_row t cols row] is the values of [cols]; [None] when any is
-    NULL (NULL never equi-joins). *)
+    NULL (NULL never equi-joins).
+    @raise Not_found from [key_of_row t cols] on a missing column. *)
 val key_of_row : Table.t -> string list -> Table.row -> Term.t list option
 
 (** [hash_probe ?kind a b] indexes [b] on the shared columns and

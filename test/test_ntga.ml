@@ -351,7 +351,12 @@ let gen_case =
            let* present = frequencyl [ (4, true); (1, false) ] in
            if present then map (fun g -> Some (i, g)) gen_part else return None))
   in
-  return { stars; joined = { Joined.parts = List.filter_map Fun.id parts } }
+  let joined =
+    List.fold_left
+      (fun acc (i, g) -> Joined.join acc (Joined.of_tg i g))
+      Joined.empty (List.filter_map Fun.id parts)
+  in
+  return { stars; joined }
 
 let print_case c =
   Fmt.str "@[<v>%a@ %a@]"
@@ -380,6 +385,87 @@ let prop_compiled_matches_reference =
   QCheck2.Test.make ~count:1000 ~name:"compiled matcher = list matcher"
     ~print:print_case gen_case (fun c ->
       compiled_canonical c = ref_canonical c)
+
+(* --- Memoized byte sizes = the term-walking sums ------------------------ *)
+
+(* References: the sums [size_bytes] walked on every call before sizes
+   were memoized. *)
+let ref_tg_size (g : Triplegroup.t) =
+  List.fold_left (fun acc t -> acc + Triple.size_bytes t) 4 g.triples
+
+let ref_joined_size (j : Joined.t) =
+  List.fold_left (fun acc (_, g) -> acc + ref_tg_size g) 4 j.parts
+
+type size_case = {
+  subject : Term.t;
+  triples_a : Triple.t list;
+  triples_b : Triple.t list;
+  keep : Term.t list;
+  reqs : Ops.prop_req list;
+  read_first : bool;  (** read [a]'s size before deriving from it *)
+}
+
+let gen_size_case =
+  let open Gen in
+  let gen_triples subject =
+    list_size (0 -- 5)
+      (map2 (fun pr o -> Triple.make subject pr o) (oneofl preds) (oneofl objects))
+  in
+  let* subject = oneofl subjects in
+  let* triples_a = gen_triples subject in
+  let* triples_b = gen_triples subject in
+  let* keep = list_size (0 -- 2) (oneofl preds) in
+  let* reqs =
+    list_size (1 -- 2)
+      (map2 (fun prop obj -> Ops.req ?obj prop) (oneofl preds) (opt (oneofl objects)))
+  in
+  let* read_first = bool in
+  return { subject; triples_a; triples_b; keep; reqs; read_first }
+
+let print_size_case c =
+  Fmt.str "@[<v>%a@ %a@ read_first=%b@]" Triplegroup.pp
+    (Triplegroup.make c.subject c.triples_a)
+    Triplegroup.pp
+    (Triplegroup.make c.subject c.triples_b)
+    c.read_first
+
+let prop_sizes_match_reference =
+  QCheck2.Test.make ~count:500 ~name:"memoized sizes = term-walking sums"
+    ~print:print_size_case gen_size_case (fun c ->
+      let a = Triplegroup.make c.subject c.triples_a in
+      let b = Triplegroup.make c.subject c.triples_b in
+      if c.read_first then ignore (Triplegroup.size_bytes a);
+      let tgs =
+        [ a; b; Triplegroup.project a c.keep; Triplegroup.union a b;
+          Triplegroup.union b a ]
+        @ Ops.group_filter ~required:c.reqs [ a; b ]
+        @ Ops.opt_group_filter ~prim:[ List.hd c.reqs ] ~opt:c.reqs [ a; b ]
+      in
+      (* Twice each: the first read fills the memo, the second reads it. *)
+      let tg_ok g =
+        let first = Triplegroup.size_bytes g in
+        first = ref_tg_size g && Triplegroup.size_bytes g = first
+      in
+      (* Before [Joined.of_tg] reads any size. *)
+      let tgs_ok = List.for_all tg_ok tgs in
+      let singles = List.mapi Joined.of_tg tgs in
+      let prefixes =
+        List.rev
+          (List.fold_left
+             (fun acc j -> Joined.join (List.hd acc) j :: acc)
+             [ Joined.empty ] singles)
+      in
+      let k = List.length singles / 2 in
+      let halves =
+        let fold = List.fold_left Joined.join Joined.empty in
+        Joined.join
+          (fold (List.filteri (fun i _ -> i < k) singles))
+          (fold (List.filteri (fun i _ -> i >= k) singles))
+      in
+      tgs_ok
+      && List.for_all
+           (fun j -> Joined.size_bytes j = ref_joined_size j)
+           (halves :: singles @ prefixes))
 
 (* The generator reaches every shape the property is meant to cover, each
    in a case with at least one binding. *)
@@ -476,6 +562,7 @@ let suite =
     Alcotest.test_case "tg match constant object" `Quick test_tg_match_constant_object;
     Alcotest.test_case "tg match generator coverage" `Quick test_tg_match_generator_coverage;
     QCheck_alcotest.to_alcotest prop_compiled_matches_reference;
+    QCheck_alcotest.to_alcotest prop_sizes_match_reference;
     Alcotest.test_case "tg store" `Quick test_tg_store;
     Alcotest.test_case "joined triplegroups" `Quick test_joined;
   ]

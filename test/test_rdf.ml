@@ -238,6 +238,34 @@ let prop_hash_consistent =
   QCheck2.Test.make ~count:500 ~name:"equal terms hash equally"
     gen_term (fun t -> Term.hash t = Term.hash t)
 
+(* Terms that share their text but differ in kind or datatype, so that
+   equality must look past the lexical form. *)
+let gen_same_text_term =
+  QCheck2.Gen.(
+    let* lex = oneofl [ "1"; "a"; "http://x.test/a" ] in
+    oneofl
+      (Term.Iri lex :: Term.Bnode lex
+      :: List.map
+           (fun datatype -> Term.Literal { lex; datatype })
+           [ Term.Dstring; Dint; Ddecimal; Dboolean; Ddate ]))
+
+(* A structurally equal term that shares no block with [t]. *)
+let copy_term = function
+  | Term.Iri s -> Term.Iri (s ^ "")
+  | Term.Bnode s -> Term.Bnode (s ^ "")
+  | Term.Literal { lex; datatype } -> Term.Literal { lex = lex ^ ""; datatype }
+
+let prop_term_equal_is_compare =
+  QCheck2.Test.make ~count:1000 ~name:"term equal = (compare = 0)"
+    ~print:(fun (a, b) -> Term.to_ntriples a ^ " vs " ^ Term.to_ntriples b)
+    QCheck2.Gen.(
+      oneof
+        [ pair gen_term gen_term;
+          pair gen_same_text_term gen_same_text_term;
+          map (fun t -> (t, t)) gen_term;
+          map (fun t -> (t, copy_term t)) gen_term ])
+    (fun (a, b) -> Term.equal a b = (Term.compare a b = 0))
+
 let suite =
   [
     Alcotest.test_case "term compare" `Quick test_term_compare;
@@ -255,4 +283,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_ntriples_roundtrip;
     QCheck_alcotest.to_alcotest prop_term_compare_total;
     QCheck_alcotest.to_alcotest prop_hash_consistent;
+    QCheck_alcotest.to_alcotest prop_term_equal_is_compare;
   ]

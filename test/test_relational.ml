@@ -350,10 +350,185 @@ let prop_order_limit_deterministic =
         a.Table.rows
         (List.filteri (fun i _ -> i < n) full.Table.rows))
 
+(* --- Staged row functions = the per-row versions they replaced ---------- *)
+
+(* References: the row functions as they were before staging, looking
+   every column up by name on every row. *)
+module Per_row = struct
+  let right_only_cols a b =
+    List.filter (fun c -> not (Table.mem_col a c)) b.Table.schema
+
+  let merge_rows a b ~left_row ~right_row =
+    let extras =
+      List.map (fun c -> right_row.(Table.col_index b c)) (right_only_cols a b)
+    in
+    Array.append left_row (Array.of_list extras)
+
+  let null_extend a b ~left_row =
+    Array.append left_row (Array.make (List.length (right_only_cols a b)) None)
+
+  let key_of_row t cols row =
+    let rec go acc = function
+      | [] -> Some (List.rev acc)
+      | c :: rest -> (
+        match row.(Table.col_index t c) with
+        | Some v -> go (v :: acc) rest
+        | None -> None)
+    in
+    go [] cols
+
+  let hash_probe ?(kind = `Inner) a b =
+    let shared = Relops.shared_cols a b in
+    let index = Hashtbl.create 16 in
+    List.iter
+      (fun row ->
+        match key_of_row b shared row with
+        | Some key ->
+          let existing = Option.value ~default:[] (Hashtbl.find_opt index key) in
+          Hashtbl.replace index key (row :: existing)
+        | None -> ())
+      b.Table.rows;
+    fun left_row ->
+      let matches =
+        match key_of_row a shared left_row with
+        | Some key ->
+          Option.value ~default:[] (Hashtbl.find_opt index key) |> List.rev
+        | None -> []
+      in
+      match matches, kind with
+      | [], `Inner -> []
+      | [], `Left_outer -> [ null_extend a b ~left_row ]
+      | rows, (`Inner | `Left_outer) ->
+        List.map (fun right_row -> merge_rows a b ~left_row ~right_row) rows
+
+  let order_limit ~order_by ~limit t =
+    let rows =
+      match order_by with
+      | [] -> t.Table.rows
+      | keys ->
+        let key_compare a b =
+          let cell_value row col = row.(Table.col_index t col) in
+          let value_compare x y =
+            match x, y with
+            | None, None -> 0
+            | None, Some _ -> -1
+            | Some _, None -> 1
+            | Some s, Some u -> (
+              match Term.as_number s, Term.as_number u with
+              | Some fs, Some fu -> Float.compare fs fu
+              | _ -> Term.compare s u)
+          in
+          let rec go = function
+            | [] -> Relops.row_compare a b
+            | key :: rest ->
+              let col, flip =
+                match key with Ast.Asc c -> (c, 1) | Ast.Desc c -> (c, -1)
+              in
+              let c =
+                flip * value_compare (cell_value a col) (cell_value b col)
+              in
+              if c <> 0 then c else go rest
+          in
+          go keys
+        in
+        List.stable_sort key_compare t.Table.rows
+    in
+    let rows =
+      match limit with
+      | None -> rows
+      | Some n -> List.filteri (fun i _ -> i < n) rows
+    in
+    { t with Table.rows = rows }
+end
+
+(* Two tables whose shared key columns (none, one or two) sit after a
+   private first column, in an independently shuffled order on each
+   side; any cell, keys included, may be NULL. Mixed int and string
+   values make [order_limit] compare both numerically and by term. *)
+let gen_join_pair =
+  let open QCheck2.Gen in
+  let gen_cell =
+    opt ~ratio:0.8
+      (oneof [ map Term.int (0 -- 3); map Term.str (oneofl [ "a"; "b" ]) ])
+  in
+  let gen_rows name schema =
+    map
+      (fun rows -> Table.make ~name ~schema (List.map Array.of_list rows))
+      (list_size (0 -- 12) (flatten_l (List.map (fun _ -> gen_cell) schema)))
+  in
+  let* shared = oneofl [ []; [ "k1" ]; [ "k1"; "k2" ] ] in
+  let* sa = shuffle_l shared in
+  let* sb = shuffle_l ("z" :: shared) in
+  let* a = gen_rows "a" ("x" :: sa) in
+  let* b = gen_rows "b" ("y" :: sb) in
+  return (a, b)
+
+let print_join_pair (a, b) = Fmt.str "@[<v>%a@ %a@]" Table.pp a Table.pp b
+
+let prop_staged_rows_match kind label =
+  QCheck2.Test.make ~count:300
+    ~name:(Printf.sprintf "staged row functions = per-row (%s)" label)
+    ~print:print_join_pair gen_join_pair (fun (a, b) ->
+      let shared = Relops.shared_cols a b in
+      let key = Relops.key_of_row a shared in
+      let merge = Relops.merge_rows a b and pad = Relops.null_extend a b in
+      let probe = Relops.hash_probe ~kind a b in
+      let ref_probe = Per_row.hash_probe ~kind a b in
+      List.for_all
+        (fun left_row ->
+          key left_row = Per_row.key_of_row a shared left_row
+          && pad ~left_row = Per_row.null_extend a b ~left_row
+          && probe left_row = ref_probe left_row
+          && List.for_all
+               (fun right_row ->
+                 merge ~left_row ~right_row
+                 = Per_row.merge_rows a b ~left_row ~right_row)
+               b.Table.rows)
+        a.Table.rows
+      && Relops.same_results
+           (Relops.hash_join ~kind ~name:"e" a b)
+           (Mr_relops.repartition_join (wf ()) ~kind ~name:"g" a b))
+
+let prop_staged_order_limit_matches =
+  QCheck2.Test.make ~count:300 ~name:"staged order_limit = per-row"
+    ~print:(fun ((a, _), _, _) -> Fmt.str "%a" Table.pp a)
+    QCheck2.Gen.(
+      triple gen_join_pair
+        (list_size (1 -- 3)
+           (map2
+              (fun desc c -> if desc then Ast.Desc c else Ast.Asc c)
+              bool (oneofl [ "x"; "k1"; "k2" ])))
+        (opt (0 -- 6)))
+    (fun ((a, _), order_by, limit) ->
+      let known = function Ast.Asc c | Ast.Desc c -> Table.mem_col a c in
+      let order_by = List.filter known order_by in
+      same_rows_in_order
+        (Relops.order_limit ~order_by ~limit a)
+        (Per_row.order_limit ~order_by ~limit a))
+
+(* ORDER BY over a column the table lacks fails only once two rows are
+   compared, as it did when columns were looked up per comparison. *)
+let test_order_limit_unknown_column () =
+  let order_by = [ Ast.Asc "missing" ] in
+  let table n =
+    Table.make ~name:"t" ~schema:[ "k" ]
+      (List.init n (fun i -> [| Some (Term.int i) |]))
+  in
+  check_int "one row passes" 1
+    (Table.cardinality (Relops.order_limit ~order_by ~limit:None (table 1)));
+  Alcotest.check_raises "two rows compare" Not_found (fun () ->
+      ignore (Relops.order_limit ~order_by ~limit:None (table 2)))
+
 let suite =
   suite
   @ [
       QCheck_alcotest.to_alcotest prop_canonicalize_idempotent;
       QCheck_alcotest.to_alcotest prop_same_results_reflexive;
       QCheck_alcotest.to_alcotest prop_order_limit_deterministic;
+      QCheck_alcotest.to_alcotest (prop_staged_rows_match `Inner "inner");
+      QCheck_alcotest.to_alcotest
+        (prop_staged_rows_match `Left_outer "left outer");
+      QCheck_alcotest.to_alcotest prop_staged_order_limit_matches;
+      Alcotest.test_case "order_limit unknown column" `Quick
+        test_order_limit_unknown_column;
     ]
