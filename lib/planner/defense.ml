@@ -2,10 +2,10 @@ type state = Armed | Cooling | Off
 
 type t = {
   k : int;
-  mutable st : state;
-  mutable consecutive : int;
-  mutable escapes : int;
-  mutable fallbacks : int;
+  st : state;
+  consecutive : int;
+  escapes : int;
+  fallbacks : int;
 }
 
 let create ~k =
@@ -19,26 +19,27 @@ let tripped t = t.st = Off
 
 let arm_for_next t =
   match t.st with
-  | Armed -> true
-  | Off -> false
+  | Armed -> (true, t)
+  | Off -> (false, t)
   | Cooling ->
     (* One heuristic query pays the fallback, then the optimizer
        re-arms: a single misestimate costs one query, only a streak
        trips the breaker. *)
-    t.fallbacks <- t.fallbacks + 1;
-    t.st <- Armed;
-    false
+    (false, { t with st = Armed; fallbacks = t.fallbacks + 1 })
 
 let observe t ~escaped =
   match t.st with
-  | Off | Cooling -> ()
+  | Off | Cooling -> t
   | Armed ->
-    if escaped then begin
-      t.escapes <- t.escapes + 1;
-      t.consecutive <- t.consecutive + 1;
-      if t.consecutive >= t.k then t.st <- Off else t.st <- Cooling
-    end
-    else t.consecutive <- 0
+    if escaped then
+      let consecutive = t.consecutive + 1 in
+      {
+        t with
+        st = (if consecutive >= t.k then Off else Cooling);
+        consecutive;
+        escapes = t.escapes + 1;
+      }
+    else { t with consecutive = 0 }
 
 let state_name = function
   | Armed -> "armed"

@@ -149,19 +149,23 @@ let test_plan_cached () =
 
 let test_defense_breaker () =
   let d = Defense.create ~k:2 in
-  check_bool "starts armed" true (Defense.arm_for_next d);
-  Defense.observe d ~escaped:true;
+  let armed, d = Defense.arm_for_next d in
+  check_bool "starts armed" true armed;
+  let d = Defense.observe d ~escaped:true in
   check_bool "cooling after an escape" true (Defense.state d = Defense.Cooling);
-  check_bool "next query falls back" false (Defense.arm_for_next d);
+  let armed, d = Defense.arm_for_next d in
+  check_bool "next query falls back" false armed;
   check_int "fallback counted" 1 (Defense.fallbacks d);
-  check_bool "then re-arms" true (Defense.arm_for_next d);
+  let armed, d = Defense.arm_for_next d in
+  check_bool "then re-arms" true armed;
   (* A clean optimized run resets the consecutive streak. *)
-  Defense.observe d ~escaped:false;
-  Defense.observe d ~escaped:true;
-  check_bool "second fallback" false (Defense.arm_for_next d);
-  Defense.observe d ~escaped:true;
+  let d = Defense.observe d ~escaped:false in
+  let d = Defense.observe d ~escaped:true in
+  let armed, d = Defense.arm_for_next d in
+  check_bool "second fallback" false armed;
+  let d = Defense.observe d ~escaped:true in
   check_bool "k consecutive escapes trip the breaker" true (Defense.tripped d);
-  check_bool "off stays off" false (Defense.arm_for_next d);
+  check_bool "off stays off" false (fst (Defense.arm_for_next d));
   check_int "escapes counted" 3 (Defense.escapes d);
   (try
      ignore (Defense.create ~k:0);
@@ -216,8 +220,7 @@ let test_stale_catalog_escape () =
     check_bool "query returns rows" true (actual > 0);
     let escaped = not (Card.contains d.Planner.d_root actual) in
     check_bool "measured cardinality escapes the stale interval" true escaped;
-    let def = Defense.create ~k:3 in
-    Defense.observe def ~escaped;
+    let def = Defense.observe (Defense.create ~k:3) ~escaped in
     check_bool "escape cools the breaker" true
       (Defense.state def = Defense.Cooling)
 
