@@ -33,16 +33,18 @@ let renumber ~base sqs =
 let pooled_subqueries members =
   List.concat_map (fun m -> m.m_subqueries) members
 
+let singleton i q =
+  let sqs = renumber ~base:0 q.Analytical.subqueries in
+  {
+    g_members = [ { m_index = i; m_query = q; m_subqueries = sqs } ];
+    g_composite =
+      (match Composite.build sqs with Ok c -> Some c | Error _ -> None);
+  }
+
+let singletons queries = List.mapi singleton queries
+
 let group_queries kind queries =
-  let solo i q =
-    let sqs = renumber ~base:0 q.Analytical.subqueries in
-    {
-      g_members = [ { m_index = i; m_query = q; m_subqueries = sqs } ];
-      g_composite =
-        (match Composite.build sqs with Ok c -> Some c | Error _ -> None);
-    }
-  in
-  if not (shares kind) then List.mapi solo queries
+  if not (shares kind) then singletons queries
   else
     let extend g i q =
       (* A group only grows while the pooled subqueries still form one
@@ -66,7 +68,7 @@ let group_queries kind queries =
     in
     let rec place groups i q =
       match groups with
-      | [] -> [ solo i q ]
+      | [] -> [ singleton i q ]
       | g :: rest -> (
         match extend g i q with
         | Some g' -> g' :: rest
