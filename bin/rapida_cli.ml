@@ -565,7 +565,7 @@ let serve_cmd =
          & info [ "w"; "workload" ] ~docv:"FILE"
              ~doc:"Workload file: one arrival per line, TIME QUERY [LABEL] \
                    [deadline=SECONDS], where QUERY is a catalog id or \
-                   \\@FILE with SPARQL (\\@ paths resolve relative to the \
+                   @FILE with SPARQL (@ paths resolve relative to the \
                    workload file); # starts a comment.")
   in
   let generate =
