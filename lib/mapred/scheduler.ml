@@ -230,8 +230,3 @@ let simulate cluster policy items =
   }
 
 let placement t id = List.find_opt (fun p -> p.p_id = id) t.placements
-
-let estimated_finish cluster policy items ~id =
-  Option.map
-    (fun p -> p.p_finish_s)
-    (placement (simulate cluster policy items) id)

@@ -62,12 +62,3 @@ val simulate : Cluster.t -> policy -> item list -> t
 
 (** [placement t id] finds one workflow's placement. *)
 val placement : t -> int -> placement option
-
-(** [estimated_finish cluster policy items ~id] predicts when workflow
-    [id] would complete under the given load: runs the contention
-    simulation over [items] and reads off its finish time. This is the
-    admission-control oracle — a server asks "if I admit this query on
-    top of everything in flight, does it finish before its deadline?"
-    before committing slots to it. [None] if [id] is not in [items]. *)
-val estimated_finish :
-  Cluster.t -> policy -> item list -> id:int -> float option
