@@ -345,22 +345,23 @@ let test_poison_deterministic () =
     (List.init 200 (fun r -> Fi.poisoned t ~job:"j" ~record:r)
     <> List.init 200 (fun r -> Fi.poisoned t ~job:"k" ~record:r))
 
-(* Find a seed that poisons at least one of our 60 input records, so the
-   skip-mode tests below are never vacuous. *)
-let poison_seed =
-  lazy
-    (let poisons seed =
-       let t = Fi.create { Fi.default with Fi.seed; poison_p = 0.05 } in
-       List.exists
-         (fun r -> Fi.poisoned t ~job:"wordcount" ~record:r)
-         (List.init (List.length lines) Fun.id)
-     in
-     let rec find seed =
-       if seed > 100 then Alcotest.fail "no poisoning seed in 1..100"
-       else if poisons seed then seed
-       else find (seed + 1)
-     in
-     find 1)
+(* Find a seed that poisons at least one of our 60 input records of
+   [job], so the skip-mode tests below are never vacuous. *)
+let first_poison_seed job =
+  let poisons seed =
+    let t = Fi.create { Fi.default with Fi.seed; poison_p = 0.05 } in
+    List.exists
+      (fun r -> Fi.poisoned t ~job ~record:r)
+      (List.init (List.length lines) Fun.id)
+  in
+  let rec find seed =
+    if seed > 100 then Alcotest.fail "no poisoning seed in 1..100"
+    else if poisons seed then seed
+    else find (seed + 1)
+  in
+  find 1
+
+let poison_seed = lazy (first_poison_seed "wordcount")
 
 let test_skip_within_tolerance () =
   let seed = Lazy.force poison_seed in
@@ -405,6 +406,41 @@ let test_poison_aborts_despite_checkpointing () =
     check_bool "deterministic failures abort even with recovery on" true
       a.Workflow.a_failure.Job.f_deterministic
 
+(* Map-only jobs run the same skip mode on their map tasks. *)
+let upper : (string, string) Job.map_only_spec =
+  {
+    mo_name = "upper";
+    mo_map = (fun line -> [ String.uppercase_ascii line ]);
+    mo_input_size = String.length;
+    mo_output_size = String.length;
+  }
+
+let test_map_only_skip_within_tolerance () =
+  let cfg =
+    { Fi.default with Fi.seed = first_poison_seed "upper"; poison_p = 0.05;
+      skip_max_records = 10 }
+  in
+  let out_h, s_h = Job.run_map_only (ctx ()) upper lines in
+  let c = ctx ~faults:cfg () in
+  let out_p, s_p = Job.run_map_only c upper lines in
+  Alcotest.(check (list string)) "skip mode never changes results" out_h out_p;
+  check_bool "poison records were skipped" true (s_p.Stats.skipped_records > 0);
+  check_bool "skipping costs simulated time" true
+    (s_p.Stats.est_time_s > s_h.Stats.est_time_s);
+  check_int "counter surfaced" s_p.Stats.skipped_records
+    (Metrics.get (Exec_ctx.metrics c) "mr.skipped_records")
+
+let test_map_only_poison_beyond_tolerance_fails () =
+  let cfg =
+    { Fi.default with Fi.seed = first_poison_seed "upper"; poison_p = 0.05 }
+  in
+  match Job.run_map_only (ctx ~faults:cfg ()) upper lines with
+  | _ -> Alcotest.fail "expected Job_failed"
+  | exception Job.Job_failed f ->
+    check_bool "map phase" true (f.Job.f_phase = Fi.Map);
+    check_bool "typed reason" true (contains_sub f.Job.f_reason "skip");
+    check_bool "deterministic failure" true f.Job.f_deterministic
+
 let suite =
   [
     Alcotest.test_case "parse spec" `Quick test_parse_spec;
@@ -428,4 +464,8 @@ let suite =
       test_poison_beyond_tolerance_fails;
     Alcotest.test_case "poison aborts despite checkpointing" `Quick
       test_poison_aborts_despite_checkpointing;
+    Alcotest.test_case "map-only skip within tolerance" `Quick
+      test_map_only_skip_within_tolerance;
+    Alcotest.test_case "map-only poison beyond tolerance fails" `Quick
+      test_map_only_poison_beyond_tolerance_fails;
   ]
