@@ -62,73 +62,43 @@ let pp_comparison ~title ~engines ppf runs =
     runs;
   Fmt.pf ppf "(simulated cluster seconds; * = failed verification)@."
 
-let pp_cycles ~title ~engines ppf runs =
+(* One row per query and one [cell] per engine, then the [footer]. *)
+let pp_table ~title ~engines ~footer cell ppf runs =
   header ~title ~engines ppf runs;
   Fmt.pf ppf "@.";
   List.iter
     (fun run ->
       Fmt.pf ppf "%-6s" run.Experiment.query.Catalog.id;
-      List.iter
-        (fun k ->
-          Fmt.pf ppf " %14s"
-            (cell_for run k
-               (fun r ->
-                 Printf.sprintf "%d (%d map-only)" r.Experiment.cycles
-                   r.Experiment.map_only_cycles)
-               "-"))
-        engines;
+      List.iter (fun k -> Fmt.pf ppf " %14s" (cell_for run k cell "-")) engines;
       Fmt.pf ppf "@.")
     runs;
-  Fmt.pf ppf "(MapReduce cycles per query)@."
+  Fmt.pf ppf "(%s)@." footer
 
-let pp_bytes ~title ~engines ppf runs =
-  header ~title ~engines ppf runs;
-  Fmt.pf ppf "@.";
-  List.iter
-    (fun run ->
-      Fmt.pf ppf "%-6s" run.Experiment.query.Catalog.id;
-      List.iter
-        (fun k ->
-          Fmt.pf ppf " %14s"
-            (cell_for run k
-               (fun r ->
-                 Printf.sprintf "%.1fKB"
-                   (float_of_int r.Experiment.shuffle_bytes /. 1024.0))
-               "-"))
-        engines;
-      Fmt.pf ppf "@.")
-    runs;
-  Fmt.pf ppf "(bytes shuffled between map and reduce phases)@."
+let pp_cycles =
+  pp_table ~footer:"MapReduce cycles per query" (fun r ->
+      Printf.sprintf "%d (%d map-only)" r.Experiment.cycles
+        r.Experiment.map_only_cycles)
 
-let pp_phases ~title ~engines ppf runs =
-  header ~title ~engines ppf runs;
-  Fmt.pf ppf "@.";
-  List.iter
-    (fun run ->
-      Fmt.pf ppf "%-6s" run.Experiment.query.Catalog.id;
-      List.iter
-        (fun k ->
-          Fmt.pf ppf " %14s"
-            (cell_for run k
-               (fun r ->
-                 let b = r.Experiment.phases in
-                 let module Stats = Rapida_mapred.Stats in
-                 let base =
-                   Printf.sprintf "%.0f/%.0f/%.0f/%.0f"
-                     b.Stats.startup_s b.Stats.map_s
-                     (b.Stats.shuffle_s +. b.Stats.sort_s)
-                     b.Stats.reduce_s
-                 in
-                 if b.Stats.spill_s > 0.0 then
-                   Printf.sprintf "%s/%.0f" base b.Stats.spill_s
-                 else base)
-               "-"))
-        engines;
-      Fmt.pf ppf "@.")
-    runs;
-  Fmt.pf ppf
-    "(simulated seconds per phase: startup/map/shuffle+sort/reduce\
-     [/spill])@."
+let pp_bytes =
+  pp_table ~footer:"bytes shuffled between map and reduce phases" (fun r ->
+      Printf.sprintf "%.1fKB"
+        (float_of_int r.Experiment.shuffle_bytes /. 1024.0))
+
+let pp_phases =
+  pp_table
+    ~footer:
+      "simulated seconds per phase: startup/map/shuffle+sort/reduce[/spill]"
+    (fun r ->
+      let b = r.Experiment.phases in
+      let module Stats = Rapida_mapred.Stats in
+      let base =
+        Printf.sprintf "%.0f/%.0f/%.0f/%.0f" b.Stats.startup_s b.Stats.map_s
+          (b.Stats.shuffle_s +. b.Stats.sort_s)
+          b.Stats.reduce_s
+      in
+      if b.Stats.spill_s > 0.0 then
+        Printf.sprintf "%s/%.0f" base b.Stats.spill_s
+      else base)
 
 let knob_cell (p : Experiment.knob_point) =
   let module Stats = Rapida_mapred.Stats in
