@@ -21,6 +21,7 @@ type failure = {
   f_phase : Fault_injector.phase;
   f_task : int;
   f_attempts : int;
+  f_attempts_failed : int;
   f_reason : string;
   f_elapsed_s : float;
   f_deterministic : bool;
@@ -97,10 +98,12 @@ let wasted_s ~slots events =
   /. float_of_int slots
 
 (* A task burned [attempts] attempts, so the job is lost; the failed
-   submission consumed [elapsed_s]. *)
-let fail metrics ~job ~phase ~task ~attempts ~elapsed_s ~deterministic reason
-    =
+   submission consumed [elapsed_s] and crashed [attempts_failed]
+   attempts in all. *)
+let fail metrics ~job ~phase ~task ~attempts ~attempts_failed ~elapsed_s
+    ~deterministic reason =
   Metrics.add metrics "mr.jobs_failed" 1;
+  Metrics.add metrics "mr.attempts_failed" attempts_failed;
   raise
     (Job_failed
        {
@@ -108,6 +111,7 @@ let fail metrics ~job ~phase ~task ~attempts ~elapsed_s ~deterministic reason
          f_phase = phase;
          f_task = task;
          f_attempts = attempts;
+         f_attempts_failed = attempts_failed;
          f_reason = reason;
          f_elapsed_s = elapsed_s;
          f_deterministic = deterministic;
@@ -118,9 +122,8 @@ let fail metrics ~job ~phase ~task ~attempts ~elapsed_s ~deterministic reason
    and recurs on every resubmission. *)
 let fail_every_attempt metrics inj ~job ~phase ~task ~elapsed_s reason =
   let attempts = (Fault_injector.config inj).Fault_injector.max_attempts in
-  Metrics.add metrics "mr.attempts_failed" attempts;
-  fail metrics ~job ~phase ~task ~attempts ~elapsed_s ~deterministic:true
-    reason
+  fail metrics ~job ~phase ~task ~attempts ~attempts_failed:attempts
+    ~elapsed_s ~deterministic:true reason
 
 (* Run user code once per item (a map task's split, a reduce group), in
    order, concatenating the outputs. A user function that throws becomes
@@ -151,7 +154,6 @@ let simulate_phase ctx ~job ~attempt ~phase ~tasks ~slots ~before_s base_s =
   in
   (match sim.Fault_injector.exhausted with
   | Some (task, attempts) ->
-    Metrics.add metrics "mr.attempts_failed" sim.Fault_injector.attempts_failed;
     if sim.Fault_injector.speculative_launched > 0 then
       Metrics.add metrics "mr.speculative_launched"
         sim.Fault_injector.speculative_launched;
@@ -159,6 +161,7 @@ let simulate_phase ctx ~job ~attempt ~phase ~tasks ~slots ~before_s base_s =
       Metrics.add metrics "mr.attempts_killed"
         sim.Fault_injector.attempts_killed;
     fail metrics ~job ~phase ~task ~attempts
+      ~attempts_failed:sim.Fault_injector.attempts_failed
       ~elapsed_s:(before_s +. sim.Fault_injector.elapsed_s)
       ~deterministic:false "injected task-attempt crashes exhausted retries"
   | None -> ());

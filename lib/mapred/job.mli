@@ -46,6 +46,10 @@ type failure = {
   f_phase : Fault_injector.phase;
   f_task : int;
   f_attempts : int;
+  f_attempts_failed : int;
+      (** every attempt that crashed in the failed submission, the
+          exhausted task's [f_attempts] included; what
+          [mr.attempts_failed] counts for it *)
   f_reason : string;
   f_elapsed_s : float;
   f_deterministic : bool;

@@ -60,6 +60,7 @@ type job = {
 type t = {
   jobs : job list;
   lost_s : float;
+  lost_attempts_failed : int;
   replayed_s : float;
   recovered_jobs : int;
   checkpoint_s : float;
@@ -71,6 +72,7 @@ let empty =
   {
     jobs = [];
     lost_s = 0.0;
+    lost_attempts_failed = 0;
     replayed_s = 0.0;
     recovered_jobs = 0;
     checkpoint_s = 0.0;
@@ -79,7 +81,12 @@ let empty =
   }
 
 let append t job = { t with jobs = t.jobs @ [ job ] }
-let charge_lost t dt_s = { t with lost_s = t.lost_s +. dt_s }
+let charge_lost ?(attempts_failed = 0) t dt_s =
+  {
+    t with
+    lost_s = t.lost_s +. dt_s;
+    lost_attempts_failed = t.lost_attempts_failed + attempts_failed;
+  }
 
 let charge_replay t ~jobs dt_s =
   {
@@ -119,7 +126,8 @@ let sum f t = List.fold_left (fun acc j -> acc + f j) 0 t.jobs
 let total_input_bytes = sum (fun j -> j.input_bytes)
 let total_shuffle_bytes = sum (fun j -> j.shuffle_bytes)
 let total_output_bytes = sum (fun j -> j.output_bytes)
-let total_attempts_failed = sum (fun j -> j.attempts_failed)
+let total_attempts_failed t =
+  sum (fun j -> j.attempts_failed) t + t.lost_attempts_failed
 let total_speculative_launched = sum (fun j -> j.speculative_launched)
 let total_attempts_killed = sum (fun j -> j.attempts_killed)
 let total_spilled_bytes = sum (fun j -> j.spilled_bytes)

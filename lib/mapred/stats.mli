@@ -67,6 +67,9 @@ type t = {
       (** simulated time charged to failed job submissions (partial runs
           that aborted and were resubmitted) and their retry backoff;
           not part of any job's phase breakdown *)
+  lost_attempts_failed : int;
+      (** task attempts that crashed in failed job submissions; no job
+          of {!field-jobs} holds them *)
   replayed_s : float;
       (** simulated time spent re-running already-completed jobs whose
           outputs were not checkpointed when a later submission failed
@@ -85,8 +88,10 @@ type t = {
 val empty : t
 val append : t -> job -> t
 
-(** [charge_lost t dt_s] adds time lost to a failed job submission. *)
-val charge_lost : t -> float -> t
+(** [charge_lost ?attempts_failed t dt_s] adds time lost to a failed
+    job submission, and the task attempts that crashed in it (default
+    0, as for a retry backoff). *)
+val charge_lost : ?attempts_failed:int -> t -> float -> t
 
 (** [charge_replay t ~jobs dt_s] adds time spent re-running [jobs]
     completed jobs after a failed submission exhausted its retries. *)
@@ -115,7 +120,11 @@ val full_cycles : t -> int
 val total_input_bytes : t -> int
 val total_shuffle_bytes : t -> int
 val total_output_bytes : t -> int
+
+(** Crashed task attempts: every job's, plus those of failed
+    submissions ({!field-lost_attempts_failed}). *)
 val total_attempts_failed : t -> int
+
 val total_speculative_launched : t -> int
 val total_attempts_killed : t -> int
 val total_spilled_bytes : t -> int

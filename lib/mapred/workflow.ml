@@ -103,7 +103,9 @@ let run_with_retries t name run =
           ("reason", Json.String f.Job.f_reason);
         ];
       Trace.advance trace f.Job.f_elapsed_s;
-      t.stats <- Stats.charge_lost t.stats f.Job.f_elapsed_s;
+      t.stats <-
+        Stats.charge_lost ~attempts_failed:f.Job.f_attempts_failed t.stats
+          f.Job.f_elapsed_s;
       if attempt < cfg.Fault_injector.job_retries then begin
         Metrics.add metrics "mr.job_resubmissions" 1;
         charge_backoff (attempt + 1);

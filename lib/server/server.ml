@@ -2,6 +2,7 @@ module Engine = Rapida_core.Engine
 module Batch_exec = Rapida_core.Batch_exec
 module Plan_util = Rapida_core.Plan_util
 module Analytical = Rapida_sparql.Analytical
+module To_sparql = Rapida_sparql.To_sparql
 module Scheduler = Rapida_mapred.Scheduler
 module Stats = Rapida_mapred.Stats
 module Trace = Rapida_mapred.Trace
@@ -256,13 +257,26 @@ type planner = {
   pl_planned : int;
 }
 
-(* One execution pass over a batch: each group's members with their
-   outcomes and its priced workflow, and the planner as the pass left
-   it. A pass is the run's only once [commit] makes it so. *)
+(* One group a pass ran: its members with their outcomes (member
+   order), the options it planned, and the group's result, whose stats
+   are its priced workflow. *)
+type ran_group = {
+  rg_members : outcome list;
+  rg_options : Plan_util.options;
+  rg_result : Batch_exec.result;
+}
+
+(* One execution pass over a batch: the groups it ran, and the planner
+   as the pass left it. A pass is the run's only once [commit] makes it
+   so. *)
 type pass = {
-  ps_groups : (outcome list * Stats.t) list;
+  ps_groups : ran_group list;
   ps_planner : planner option;
 }
+
+let group_stats rg = rg.rg_result.Batch_exec.stats
+let member_ids rg =
+  List.map (fun ((a : Workload.arrival), _) -> a.Workload.a_id) rg.rg_members
 
 (* Everything one [run] accumulates, shared by its stages. Lists are
    newest first. *)
@@ -311,24 +325,49 @@ let sched_items r =
 
 (* Back-to-back baseline: every query solo, sequentially, same cluster —
    the savings denominator, the identity reference, and the Cost_aware
-   admission price (solo slot-seconds). *)
+   admission price (solo slot-seconds). Every solo runs with the same
+   options on a fresh context, and a fault injector is a pure function
+   of its config, so a query repeated in the stream (same rendering)
+   reuses its first solo result, stats included. *)
 let baseline cfg session (workload : Workload.t) =
+  let memo = Hashtbl.create 16 in
   List.map
     (fun (a : Workload.arrival) ->
-      let ctx = Plan_util.context cfg.c_options in
-      (a, Engine.execute session ctx a.Workload.a_query))
+      let key = To_sparql.analytical a.Workload.a_query in
+      match Hashtbl.find_opt memo key with
+      | Some res -> (a, res)
+      | None ->
+        let ctx = Plan_util.context cfg.c_options in
+        let res = Engine.execute session ctx a.Workload.a_query in
+        Hashtbl.add memo key res;
+        (a, res))
     workload.Workload.arrivals
+
+(* The planner's statistics depend only on the input, whose graph never
+   changes after [Engine.input_of_graph]; one slot keeps the catalog and
+   its fingerprint of the input seen last, matched by identity. *)
+let catalog_memo : (Engine.input * (Stats_catalog.t * int64)) option Atomic.t =
+  Atomic.make None
+
+let catalog input =
+  match Atomic.get catalog_memo with
+  | Some (i, c) when i == input -> c
+  | Some _ | None ->
+    let catalog = Stats_catalog.build (Engine.graph_of_input input) in
+    let c = (catalog, Planner.catalog_fingerprint catalog) in
+    Atomic.set catalog_memo (Some (input, c));
+    c
 
 let start cfg input (workload : Workload.t) =
   let session = Engine.prepare cfg.c_kind input in
   let planner =
     Option.map
       (fun oc ->
-        let catalog = Stats_catalog.build (Engine.graph_of_input input) in
+        let catalog, catalog_fp = catalog input in
         {
           pl_cfg = oc;
           pl_catalog = catalog;
-          pl_catalog_fp = Planner.catalog_fingerprint catalog;
+          pl_catalog_fp = catalog_fp;
           pl_cache = Planner.create_cache ~capacity:oc.oc_cache_capacity;
           pl_defense = Defense.create ~k:oc.oc_defense_k;
           pl_planned = 0;
@@ -517,8 +556,10 @@ let observe check (res : Batch_exec.result) planner =
 
 (* Execute admitted members at a degradation level. Level 0 is the
    configured server; level 1 turns cross-query sharing off; level 2
-   additionally plans with the broadcast-everything heuristic. *)
-let execute r lvl members =
+   additionally plans with the broadcast-everything heuristic. Every
+   group is planned; a group whose members and planned options equal
+   one in [reuse] takes that group's result instead of running again. *)
+let execute ?(reuse = []) r lvl members =
   let queries =
     List.map (fun (a : Workload.arrival) -> a.Workload.a_query) members
   in
@@ -535,15 +576,32 @@ let execute r lvl members =
     List.fold_left
       (fun (planner, executed) (g : Batch_exec.group) ->
         let options, check, planner = plan r lvl options g planner in
-        let ctx = Plan_util.context options in
-        let res = Batch_exec.run_group r.session ctx g in
-        let mems =
-          List.map2
-            (fun (m : Batch_exec.member) out ->
-              (List.nth members m.Batch_exec.m_index, out))
-            g.Batch_exec.g_members res.Batch_exec.outputs
+        let arrivals =
+          List.map
+            (fun (m : Batch_exec.member) ->
+              List.nth members m.Batch_exec.m_index)
+            g.Batch_exec.g_members
         in
-        (observe check res planner, (mems, res.Batch_exec.stats) :: executed))
+        let ids =
+          List.map (fun (a : Workload.arrival) -> a.Workload.a_id) arrivals
+        in
+        let res =
+          match
+            List.find_opt
+              (fun rg -> rg.rg_options = options && member_ids rg = ids)
+              reuse
+          with
+          | Some rg -> rg.rg_result
+          | None -> Batch_exec.run_group r.session (Plan_util.context options) g
+        in
+        let rg =
+          {
+            rg_members = List.combine arrivals res.Batch_exec.outputs;
+            rg_options = options;
+            rg_result = res;
+          }
+        in
+        (observe check res planner, rg :: executed))
       (r.planner, []) groups
   in
   { ps_groups = List.rev executed; ps_planner = planner }
@@ -552,18 +610,19 @@ let execute r lvl members =
    groups laid on top of everything in flight, would each deadline
    still be met? Queries that cannot make it are refused now (typed
    fate) instead of missing later, and the pass is discarded whole —
-   its planning outcome too — for a fresh one over the rest. *)
+   its planning outcome too — for a fresh one over the rest, which
+   reuses the results of the groups it left unchanged. *)
 let refuse_infeasible r (b_index, _, admit_s, _) lvl admitted pass =
   let prospective i = 1_000_000 + i in
   let s =
     Scheduler.simulate (cluster r) r.cfg.c_policy
       (sched_items r
       @ List.mapi
-          (fun i (_, (stats : Stats.t)) ->
+          (fun i rg ->
             {
               Scheduler.it_id = prospective i;
               it_submit_s = admit_s;
-              it_jobs = stats.Stats.jobs;
+              it_jobs = (group_stats rg).Stats.jobs;
             })
           pass.ps_groups)
   in
@@ -579,7 +638,9 @@ let refuse_infeasible r (b_index, _, admit_s, _) lvl admitted pass =
   in
   let infeasible =
     List.concat
-      (List.mapi (fun i (mems, _) -> List.filter (late i) mems) pass.ps_groups)
+      (List.mapi
+         (fun i rg -> List.filter (late i) rg.rg_members)
+         pass.ps_groups)
     |> List.map (fun ((a : Workload.arrival), _) -> a.Workload.a_id)
   in
   match
@@ -590,7 +651,7 @@ let refuse_infeasible r (b_index, _, admit_s, _) lvl admitted pass =
   | _, [] -> pass
   | keep, drop ->
     List.iter (shed_query r b_index admit_s Infeasible) drop;
-    execute r lvl keep
+    execute ~reuse:pass.ps_groups r lvl keep
 
 (* Circuit breaker: K consecutive transient failures (in arrival order)
    open it for a cooldown; deterministic errors and successes reset the
@@ -599,7 +660,7 @@ let feed_breaker r admit_s pass =
   match r.cfg.c_overload.ov_breaker_k with
   | Some k when k > 0 ->
     let cooldown = r.cfg.c_overload.ov_breaker_cooldown_s in
-    List.concat_map fst pass.ps_groups
+    List.concat_map (fun rg -> rg.rg_members) pass.ps_groups
     |> List.sort (fun ((x : Workload.arrival), _) ((y : Workload.arrival), _) ->
            compare x.Workload.a_id y.Workload.a_id)
     |> List.iter (fun (_, out) ->
@@ -622,15 +683,15 @@ let feed_breaker r admit_s pass =
    failures feed the circuit breaker. *)
 let commit r (b_index, open_s, admit_s, members) lvl pass =
   List.iter
-    (fun (mems, stats) ->
+    (fun rg ->
       r.committed <-
         {
           eg_index = List.length r.committed;
           eg_batch = b_index;
           eg_admit_s = admit_s;
           eg_level = lvl;
-          eg_members = mems;
-          eg_stats = stats;
+          eg_members = rg.rg_members;
+          eg_stats = group_stats rg;
         }
         :: r.committed)
     pass.ps_groups;
@@ -643,7 +704,7 @@ let commit r (b_index, open_s, admit_s, members) lvl pass =
       b_admit_s = admit_s;
       b_size = List.length members;
       b_group_sizes =
-        List.map (fun (mems, _) -> List.length mems) pass.ps_groups;
+        List.map (fun rg -> List.length rg.rg_members) pass.ps_groups;
     }
     :: r.batches
 

@@ -17,7 +17,11 @@
     through {!Rapida_core.Engine.execute}, sequentially on the same
     cluster — and checks every server-path result against its solo
     result ({!Rapida_relational.Relops.same_results}): sharing must
-    change the price, never the answer.
+    change the price, never the answer. Within one run a query that
+    recurs in the stream (the same {!Rapida_sparql.To_sparql.analytical}
+    rendering) runs solo once; its later arrivals reuse that result,
+    stats included. The server-path executions are never reused this
+    way, so the check stays independent.
 
     {2 Overload resilience}
 
@@ -60,7 +64,12 @@
     run the heuristic plan, and [defense_k] consecutive escapes turn the
     optimizer off for the rest of the run ({!Rapida_planner.Defense}).
     With [c_optimize = None] (the default) the run, report, and JSON are
-    bit-identical to the heuristic server. *)
+    bit-identical to the heuristic server.
+
+    The catalog the planner reads is built once per input ({!catalog}),
+    not once per run. That relies on the contract {!Engine.input}'s lazy
+    storage layouts already rely on: the graph of an input does not
+    change after {!Engine.input_of_graph}. *)
 
 module Engine = Rapida_core.Engine
 module Scheduler = Rapida_mapred.Scheduler
@@ -292,6 +301,14 @@ type t = {
     server and prices the solo baseline. Pure simulation — deterministic
     for a given (config, input, workload). *)
 val run : config -> Engine.input -> Workload.t -> t
+
+(** [catalog input] is the statistics catalog the planner reads for
+    [input], with its {!Rapida_planner.Planner.catalog_fingerprint}. The
+    server keeps the last input's catalog and matches it by physical
+    identity ([==]), so repeated runs over one input build it once.
+    Correct only while the input's graph stays unchanged after
+    {!Engine.input_of_graph}, which nothing in the library does. *)
+val catalog : Engine.input -> Rapida_analysis.Stats_catalog.t * int64
 
 (** [percentile p xs] is the nearest-rank [p]-th percentile of [xs]
     (0 on empty input). Exposed for the harness sweeps. *)

@@ -454,6 +454,7 @@ let test_pp_abort_golden () =
           f_phase = Fi.Map;
           f_task = 3;
           f_attempts = 4;
+          f_attempts_failed = 4;
           f_reason = "injected task-attempt crashes exhausted retries";
           f_elapsed_s = 12.5;
           f_deterministic = false;
@@ -517,6 +518,38 @@ let test_engines_transparent_under_faults () =
       done)
     entries
 
+(* Attempts that crash in a lost submission belong to no completed job,
+   yet they are failed attempts: [Stats] counts them as the metrics
+   counter does. MG1 on Hive(Naive) loses three submissions here, one
+   crashed attempt each, and completes on the fourth. *)
+let test_lost_submission_attempts () =
+  let input =
+    Engine.input_of_graph
+      Rapida_datagen.Bsbm.(generate (config ~seed:7 ~products:100 ()))
+  in
+  let faults =
+    { Fi.default with Fi.seed = 7; task_fail_p = 0.1; straggler_p = 0.1;
+      max_attempts = 1; job_retries = 3 }
+  in
+  let ctx = Plan_util.context (Plan_util.make ~faults ()) in
+  let q = Catalog.parse (Catalog.find_exn "MG1") in
+  match run Engine.Hive_naive ctx input q with
+  | Error msg -> Alcotest.failf "MG1 should complete: %s" msg
+  | Ok out ->
+    let st = out.Engine.stats in
+    let in_jobs =
+      List.fold_left (fun acc j -> acc + j.Stats.attempts_failed) 0
+        st.Stats.jobs
+    in
+    check_bool "submissions were lost" true (Stats.lost_s st > 0.0);
+    check_int "three lost submissions" 3
+      (Metrics.get (Exec_ctx.metrics ctx) "mr.job_resubmissions");
+    check_int "lost attempts counted" 3
+      (Stats.total_attempts_failed st - in_jobs);
+    check_int "Stats agrees with mr.attempts_failed"
+      (Metrics.get (Exec_ctx.metrics ctx) "mr.attempts_failed")
+      (Stats.total_attempts_failed st)
+
 let suite =
   [
     Alcotest.test_case "parse spec" `Quick test_parse_spec;
@@ -548,6 +581,8 @@ let suite =
       test_map_only_user_exception;
     Alcotest.test_case "map-only exhaustion" `Quick test_map_only_exhaustion;
     Alcotest.test_case "pp_abort golden" `Quick test_pp_abort_golden;
+    Alcotest.test_case "lost submissions' attempts in Stats" `Quick
+      test_lost_submission_attempts;
     Alcotest.test_case "engines transparent under faults" `Slow
       test_engines_transparent_under_faults;
   ]

@@ -15,6 +15,14 @@ module Stats = Rapida_mapred.Stats
 module Cluster = Rapida_mapred.Cluster
 module Fi = Rapida_mapred.Fault_injector
 module Experiment = Rapida_harness.Experiment
+module Memory = Rapida_mapred.Memory
+module Checkpoint = Rapida_mapred.Checkpoint
+module Json = Rapida_mapred.Json
+module Relops = Rapida_relational.Relops
+module Table = Rapida_relational.Table
+module To_sparql = Rapida_sparql.To_sparql
+module Stats_catalog = Rapida_analysis.Stats_catalog
+module Planner = Rapida_planner.Planner
 
 let feq = Alcotest.(check (float 1e-6))
 let check_int = Alcotest.(check int)
@@ -646,6 +654,223 @@ let test_server_identity_across_settings () =
         [ 0.0; 1.0; 50.0 ])
     Engine.[ Hive_mqo; Rapid_analytics ]
 
+(* --- run-level memos ------------------------------------------------------ *)
+
+let spec_exn parse spec =
+  match parse spec with
+  | Ok cfg -> cfg
+  | Error e -> Alcotest.failf "spec %S: %s" spec e
+
+(* The memo property's knob sets: the options every solo and every
+   group runs with, and the overload layer. *)
+let memo_knobs =
+  let faults spec = spec_exn Fi.parse_spec spec in
+  let mem = spec_exn Memory.parse_spec "heap=8k,sort-buffer=1k" in
+  [
+    ("none", Plan_util.make (), Server.overload_off);
+    ( "faults",
+      Plan_util.make
+        ~faults:(faults "seed=5,task-fail=0.1,straggler=0.1,job-retries=3")
+        (),
+      Server.overload_off );
+    ( "mem",
+      Plan_util.make
+        ~cluster:
+          (Cluster.with_memory Plan_util.default_options.Plan_util.cluster mem)
+        (),
+      Server.overload_off );
+    ( "checkpoint",
+      Plan_util.make
+        ~faults:(faults "seed=7,task-fail=0.1,max-attempts=1")
+        ~checkpoint:(spec_exn Checkpoint.parse_spec "every=1")
+        (),
+      Server.overload_off );
+    ( "deadline-aware",
+      Plan_util.make (),
+      Server.overload ~deadline_s:100.0 ~shed_policy:Server.Deadline_aware () );
+  ]
+
+let same_bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+(* The back-to-back figures of [solos] (arrival order), computed as the
+   report defines them: each query starts when it arrives or when the
+   previous one finishes. *)
+let solo_figures (wl : Workload.t) solos =
+  let solo_end, lats, jobs, bytes =
+    List.fold_left
+      (fun (cursor, lats, jobs, bytes) ((a : Workload.arrival), res) ->
+        let dur, j, b =
+          match res with
+          | Ok (o : Engine.output) ->
+            let st = o.Engine.stats in
+            (Stats.est_time_s st, Stats.cycles st, Stats.total_input_bytes st)
+          | Error _ -> (0.0, 0, 0)
+        in
+        let finish = Float.max cursor a.Workload.a_time_s +. dur in
+        (finish, (finish -. a.Workload.a_time_s) :: lats, jobs + j, bytes + b))
+      (0.0, [], 0, 0) solos
+  in
+  let makespan =
+    match wl.Workload.arrivals with
+    | first :: _ -> Float.max 0.0 (solo_end -. first.Workload.a_time_s)
+    | [] -> 0.0
+  in
+  ( jobs,
+    bytes,
+    [
+      makespan;
+      Server.percentile 50.0 lats;
+      Server.percentile 95.0 lats;
+      Server.percentile 99.0 lats;
+    ] )
+
+let same_solo x y =
+  match (x, y) with
+  | Ok (a : Engine.output), Ok (b : Engine.output) ->
+    Relops.same_results a.Engine.table b.Engine.table
+    && a.Engine.stats = b.Engine.stats
+  | Error a, Error b -> Engine.error_message a = Engine.error_message b
+  | Ok _, Error _ | Error _, Ok _ -> false
+
+(* A query repeated in the stream runs solo once per run. The property:
+   that memoized run reports exactly what solos run one by one, each
+   with its own [Engine.execute], give — the back-to-back figures
+   bitwise, and every [q_matches_solo] — over seeds x engines x knob
+   sets x optimizer on/off, on streams that repeat queries. *)
+let test_server_solo_memo () =
+  let input =
+    Engine.input_of_graph
+      Rapida_datagen.Bsbm.(generate (config ~seed:5 ~products:40 ()))
+  in
+  List.iter
+    (fun seed ->
+      let wl = Workload.generate_exn ~seed ~n:12 ~mean_gap_s:1.0 () in
+      let key (a : Workload.arrival) = To_sparql.analytical a.Workload.a_query in
+      check_bool "the stream repeats queries" true
+        (List.length (List.sort_uniq compare (List.map key wl.Workload.arrivals))
+         < Workload.size wl);
+      List.iter
+        (fun kind ->
+          let session = Engine.prepare kind input in
+          List.iter
+            (fun (knob, options, overload) ->
+              let name fmt =
+                Printf.sprintf fmt seed (Engine.kind_name kind) knob
+              in
+              let fresh =
+                List.map
+                  (fun (a : Workload.arrival) ->
+                    ( a,
+                      Engine.execute session (Plan_util.context options)
+                        a.Workload.a_query ))
+                  wl.Workload.arrivals
+              in
+              (* What the memo relies on: a repeat's own solo equals the
+                 first solo of its query. *)
+              List.iter
+                (fun (a, res) ->
+                  let _, first =
+                    List.find (fun (b, _) -> key b = key a) fresh
+                  in
+                  check_bool (name "seed %d, %s, %s: repeat = first solo")
+                    true (same_solo first res))
+                fresh;
+              let jobs, bytes, times = solo_figures wl fresh in
+              List.iter
+                (fun optimize ->
+                  let r =
+                    Server.run
+                      (Server.config ~overload ?optimize ~options kind)
+                      input wl
+                  in
+                  let name fmt =
+                    name fmt ^ if optimize = None then "" else ", optimize"
+                  in
+                  check_int (name "seed %d, %s, %s: solo jobs") jobs
+                    r.Server.r_solo_jobs;
+                  check_int (name "seed %d, %s, %s: solo bytes") bytes
+                    r.Server.r_solo_input_bytes;
+                  check_bool (name "seed %d, %s, %s: solo times bitwise") true
+                    (List.for_all2 same_bits times
+                       Server.
+                         [
+                           r.r_solo_makespan_s;
+                           r.r_solo_latency_p50_s;
+                           r.r_solo_latency_p95_s;
+                           r.r_solo_latency_p99_s;
+                         ]);
+                  List.iter
+                    (fun (q : Server.query_report) ->
+                      let _, solo =
+                        List.find
+                          (fun ((a : Workload.arrival), _) ->
+                            a.Workload.a_id = q.Server.q_id)
+                          fresh
+                      in
+                      (* The report keeps each result's row count, not
+                         its table. *)
+                      let expected =
+                        match (q.Server.q_fate, q.Server.q_error, solo) with
+                        | Server.Shed _, _, _ -> true
+                        | _ when not q.Server.q_checked -> true
+                        | _, Some _, Error _ -> true
+                        | _, None, Ok (o : Engine.output) ->
+                          Table.cardinality o.Engine.table = q.Server.q_rows
+                        | _, Some _, Ok _ | _, None, Error _ -> false
+                      in
+                      check_bool
+                        (name "seed %d, %s, %s: q_matches_solo")
+                        expected q.Server.q_matches_solo)
+                    r.Server.r_queries)
+                [ None; Some (Server.optimize ()) ])
+            memo_knobs)
+        Engine.all_kinds)
+    [ 1; 2; 3 ]
+
+(* The planner's catalog is built once per input and matched by
+   identity: runs alternating over two inputs each report exactly what
+   the same run reported first, when the memo held nothing for its
+   input, and the memoized catalog is the one a fresh build gives. *)
+let test_server_catalog_memo () =
+  let fresh_input seed =
+    Engine.input_of_graph
+      Rapida_datagen.Bsbm.(generate (config ~seed ~products:30 ()))
+  in
+  let a = fresh_input 21 and b = fresh_input 22 in
+  let wl = Workload.generate_exn ~seed:3 ~n:8 ~mean_gap_s:1.0 () in
+  let cfg =
+    Server.config ~optimize:(Server.optimize ()) Engine.Rapid_analytics
+  in
+  let report input =
+    let r = Server.run cfg input wl in
+    (match r.Server.r_optimize with
+    | Some p -> check_bool "groups were planned" true (p.Server.p_planned > 0)
+    | None -> Alcotest.fail "optimizer report missing");
+    Json.to_string (Server.to_json r) ^ Fmt.str "%a" Server.pp_detail r
+  in
+  let first_a = report a in
+  let first_b = report b in
+  List.iteri
+    (fun i (input, first) ->
+      Alcotest.(check string)
+        (Printf.sprintf "run %d equals the first run on its input" i)
+        first (report input))
+    [ (a, first_a); (a, first_a); (b, first_b); (a, first_a); (b, first_b) ];
+  let fp input =
+    Planner.catalog_fingerprint
+      (Stats_catalog.build (Engine.graph_of_input input))
+  in
+  List.iter
+    (fun input ->
+      let catalog, catalog_fp = Server.catalog input in
+      check_bool "memoized fingerprint = fresh build's" true
+        (Int64.equal catalog_fp (fp input));
+      check_bool "the catalog is built once per input" true
+        (catalog == fst (Server.catalog input)))
+    [ a; b ];
+  check_bool "the two inputs' catalogs differ" false
+    (Int64.equal (fp a) (fp b))
+
 (* --- overload resilience ------------------------------------------------- *)
 
 let ov_report r =
@@ -1030,6 +1255,10 @@ let suite =
       test_server_identity_across_seeds;
     Alcotest.test_case "server: identity across windows and policies" `Slow
       test_server_identity_across_settings;
+    Alcotest.test_case "server: memoized solos equal fresh solos" `Slow
+      test_server_solo_memo;
+    Alcotest.test_case "server: one catalog per input" `Slow
+      test_server_catalog_memo;
     Alcotest.test_case "overload: deadline fates" `Slow
       test_server_deadline_fates;
     Alcotest.test_case "overload: queue-cap shedding policies" `Slow
