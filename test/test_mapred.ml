@@ -185,6 +185,210 @@ let prop_combiner_sound =
       let b = fst (Job.run (ctx cluster) (wordcount ~with_combiner:true) lines) in
       List.sort compare a = List.sort compare b)
 
+(* --- Grouping order ------------------------------------------------------ *)
+
+module Memory = Rapida_mapred.Memory
+
+(* [Hashtbl.hash] reads only the first 10 elements of a list, so keys
+   that share this prefix and differ after it all collide. *)
+let collide_prefix = List.init 10 Fun.id
+
+(* The documented grouping order on an assoc list: the key first seen
+   last leads, and values keep arrival order. *)
+let ref_group pairs =
+  List.fold_left
+    (fun groups (k, v) ->
+      if List.exists (fun (k', _) -> compare k k' = 0) groups then
+        List.map
+          (fun (k', vs) -> if compare k k' = 0 then (k', vs @ [ v ]) else (k', vs))
+          groups
+      else (k, [ v ]) :: groups)
+    [] pairs
+
+(* [arity] picks the combiner: 0, 1 or 2 values per key, or (3) a count
+   that depends on the key. *)
+let combiner arity k vs =
+  let sum = List.fold_left ( + ) 0 vs in
+  match if arity = 3 then List.length k mod 3 else arity with
+  | 0 -> []
+  | 1 -> [ sum ]
+  | _ -> [ List.hd vs; sum ]
+
+(* A job whose records are lists of (key, value) pairs and whose reducer
+   returns each group as it receives it, except that it throws on
+   [bomb]. *)
+let grouping_spec ~combine ~bomb : ((int list * int) list, int list, int, int list * int list) Job.spec =
+  {
+    name = "grouping";
+    map = Fun.id;
+    combine = Option.map combiner combine;
+    reduce =
+      (fun k vs -> if Some k = bomb then failwith "bomb" else [ (k, vs) ]);
+    input_size = (fun r -> 8 + (16 * List.length r));
+    key_size = (fun k -> 4 * List.length k);
+    value_size = (fun _ -> 8);
+    output_size = (fun (k, vs) -> 4 * (List.length k + List.length vs));
+  }
+
+(* What [Job.run] must produce, computed the slow way: equal-count
+   splits, per-task combining (off for a task over the heap), one
+   grouping of every task's output in task order, one reduce per group.
+   Returns the groups and the stats' counting fields. *)
+let ref_run cluster spec records =
+  let counted_bytes f xs = List.fold_left (fun acc x -> acc + f x) 0 xs in
+  let pair_bytes (k, v) = spec.Job.key_size k + spec.Job.value_size v + 12 in
+  let input_bytes = counted_bytes spec.Job.input_size records in
+  let map_tasks = Job.estimate_map_tasks cluster ~input_bytes in
+  let len = List.length records in
+  let per = max 1 ((len + map_tasks - 1) / map_tasks) in
+  let tasks =
+    if len = 0 then [ [] ]
+    else
+      List.fold_left
+        (fun acc r ->
+          match acc with
+          | t :: rest when List.length t < per -> (t @ [ r ]) :: rest
+          | _ -> [ r ] :: acc)
+        [] records
+      |> List.rev
+  in
+  let mem = Cluster.memory cluster in
+  let budget = Memory.spill_budget mem in
+  let oom_kills = ref 0 and map_spilled = ref 0 and map_passes = ref 0 in
+  let outs =
+    List.map
+      (fun task ->
+        let emitted = List.concat task in
+        let out =
+          match spec.Job.combine with
+          | None -> emitted
+          | Some _ when counted_bytes pair_bytes emitted > mem.Memory.task_heap_bytes ->
+            oom_kills :=
+              !oom_kills
+              + Memory.oom_attempts
+                  ~max_attempts:Rapida_mapred.Fault_injector.default.max_attempts;
+            emitted
+          | Some c ->
+            List.concat_map
+              (fun (k, vs) -> List.map (fun v -> (k, v)) (c k vs))
+              (ref_group emitted)
+        in
+        let out_bytes = counted_bytes pair_bytes out in
+        let passes = Memory.spill_passes ~budget_bytes:budget ~data_bytes:out_bytes in
+        map_spilled := !map_spilled + (passes * out_bytes);
+        map_passes := !map_passes + passes;
+        out)
+      tasks
+  in
+  let shuffle = List.concat outs in
+  let shuffle_bytes = counted_bytes pair_bytes shuffle in
+  let groups = ref_group shuffle in
+  let reduce_tasks =
+    min (max 1 (List.length groups)) (Cluster.reduce_slots cluster)
+  in
+  let passes =
+    Memory.spill_passes ~budget_bytes:budget
+      ~data_bytes:(shuffle_bytes / reduce_tasks)
+  in
+  let fields =
+    [
+      ("input_records", len);
+      ("input_bytes", input_bytes);
+      ("shuffle_records", List.length shuffle);
+      ("shuffle_bytes", shuffle_bytes);
+      ("output_records", List.length groups);
+      ("output_bytes", counted_bytes spec.Job.output_size groups);
+      ("map_tasks", map_tasks);
+      ("reduce_tasks", reduce_tasks);
+      ("combine_input_records", List.length (List.concat (List.concat tasks)));
+      ("combine_output_records", List.length shuffle);
+      ("reduce_groups", List.length groups);
+      ("spilled_bytes", !map_spilled + (passes * shuffle_bytes));
+      ("spill_passes", !map_passes + (passes * reduce_tasks));
+      ("oom_kills", !oom_kills);
+    ]
+  in
+  (groups, reduce_tasks, fields)
+
+let stats_fields (s : Stats.job) =
+  [
+    ("input_records", s.Stats.input_records);
+    ("input_bytes", s.Stats.input_bytes);
+    ("shuffle_records", s.Stats.shuffle_records);
+    ("shuffle_bytes", s.Stats.shuffle_bytes);
+    ("output_records", s.Stats.output_records);
+    ("output_bytes", s.Stats.output_bytes);
+    ("map_tasks", s.Stats.map_tasks);
+    ("reduce_tasks", s.Stats.reduce_tasks);
+    ("combine_input_records", s.Stats.combine_input_records);
+    ("combine_output_records", s.Stats.combine_output_records);
+    ("reduce_groups", s.Stats.reduce_groups);
+    ("spilled_bytes", s.Stats.spilled_bytes);
+    ("spill_passes", s.Stats.spill_passes);
+    ("oom_kills", s.Stats.oom_kills);
+  ]
+
+let test_collide_prefix () =
+  check_bool "keys past the hashed prefix collide" true
+    (Hashtbl.hash (collide_prefix @ [ 1; 0 ]) = Hashtbl.hash (collide_prefix @ [ 2; 1 ]))
+
+(* Property: [Job.run] groups exactly as the reference does, in the
+   documented order — over one or several map tasks, with no combiner
+   or combiners of every arity, with the combiner forced off by a tight
+   heap, over keys that collide under [Hashtbl.hash], and over enough
+   distinct keys to outgrow a small table. A reducer
+   that throws on one group fails the task [group mod reduce_tasks]. *)
+let prop_grouping_order =
+  let open QCheck2.Gen in
+  let key =
+    oneof
+      [
+        map (fun a -> [ a ]) (0 -- 6);
+        map (fun a -> [ a; a ]) (0 -- 99);
+        map2 (fun b c -> collide_prefix @ [ b; c ]) (0 -- 3) (0 -- 2);
+      ]
+  in
+  let gen =
+    tup5
+      (list_size (0 -- 20) (list_size (0 -- 6) key))
+      (oneofl [ 16; 64; 1 lsl 20 ])
+      (opt (0 -- 3))
+      (oneofl [ None; Some 48; Some 200 ])
+      (opt (0 -- 60))
+  in
+  QCheck2.Test.make ~count:300 ~name:"grouping keeps the documented order" gen
+    (fun (keys, block_size_bytes, combine, heap, bomb_at) ->
+      (* Number every emitted pair so that value order is observable. *)
+      let next = ref 0 in
+      let records =
+        List.map
+          (List.map (fun k ->
+               incr next;
+               (k, !next)))
+          keys
+      in
+      let cluster =
+        let c = { Cluster.default with block_size_bytes } in
+        match heap with
+        | None -> c
+        | Some h ->
+          Cluster.with_memory c
+            { Memory.task_heap_bytes = h; sort_buffer_bytes = h; spill_threshold = 0.8 }
+      in
+      let groups, reduce_tasks, fields =
+        ref_run cluster (grouping_spec ~combine ~bomb:None) records
+      in
+      let bomb =
+        Option.bind bomb_at (fun i -> Option.map fst (List.nth_opt groups i))
+      in
+      match Job.run (ctx cluster) (grouping_spec ~combine ~bomb) records with
+      | out, stats ->
+        bomb = None && out = groups && stats_fields stats = fields
+      | exception Job.Job_failed f ->
+        let i = Option.get bomb_at in
+        f.Job.f_phase = Rapida_mapred.Fault_injector.Reduce
+        && f.Job.f_task = i mod reduce_tasks)
+
 (* --- JSON unicode escapes ------------------------------------------------ *)
 
 module Json = Rapida_mapred.Json
@@ -242,4 +446,6 @@ let suite =
     Alcotest.test_case "failure injection" `Quick test_failure_injection;
     Alcotest.test_case "scaled-down profile" `Quick test_scaled_down_profile;
     QCheck_alcotest.to_alcotest prop_combiner_sound;
+    Alcotest.test_case "colliding keys" `Quick test_collide_prefix;
+    QCheck_alcotest.to_alcotest prop_grouping_order;
   ]
