@@ -550,6 +550,73 @@ let test_lost_submission_attempts () =
       (Metrics.get (Exec_ctx.metrics ctx) "mr.attempts_failed")
       (Stats.total_attempts_failed st)
 
+(* A submission lost in its reduce phase also lost its map phase's
+   crashed attempts. MG1 on Hive(Naive) loses three sq0_groupby
+   submissions in reduce here, one after a crashed map attempt. Each
+   lost submission's attempts are replayed through the injector: its
+   map phase, plus its reduce phase when the map phase completed. *)
+let test_lost_map_side_attempts () =
+  let input =
+    Engine.input_of_graph
+      Rapida_datagen.Bsbm.(generate (config ~seed:7 ~products:100 ()))
+  in
+  let faults =
+    { Fi.default with Fi.seed = 3; task_fail_p = 0.3; max_attempts = 2;
+      job_retries = 5 }
+  in
+  let ctx = Plan_util.context (Plan_util.make ~faults ()) in
+  let q = Catalog.parse (Catalog.find_exn "MG1") in
+  match run Engine.Hive_naive ctx input q with
+  | Error msg -> Alcotest.failf "MG1 should complete: %s" msg
+  | Ok out ->
+    let st = out.Engine.stats in
+    let cluster = Exec_ctx.cluster ctx in
+    let replay ~job ~job_attempt phase ~tasks ~slots =
+      Fi.simulate_phase (Exec_ctx.faults ctx) ~job ~job_attempt ~phase ~tasks
+        ~slots ~base_s:1.0
+    in
+    let lost_after_map = ref 0 in
+    let lost =
+      List.fold_left
+        (fun acc (ev : Trace.event) ->
+          let job = Filename.dirname ev.Trace.name in
+          let job_attempt =
+            match List.assoc "submission" ev.Trace.args with
+            | Json.Int a -> a
+            | _ -> Alcotest.fail "abort span without a submission"
+          in
+          let j = List.find (fun j -> j.Stats.name = job) st.Stats.jobs in
+          let map =
+            replay ~job ~job_attempt Fi.Map ~tasks:j.Stats.map_tasks
+              ~slots:(Cluster.map_slots cluster)
+          in
+          match map.Fi.exhausted with
+          | Some _ -> acc + map.Fi.attempts_failed
+          | None ->
+            lost_after_map := !lost_after_map + map.Fi.attempts_failed;
+            let reduce =
+              replay ~job ~job_attempt Fi.Reduce ~tasks:j.Stats.reduce_tasks
+                ~slots:(Cluster.reduce_slots cluster)
+            in
+            acc + map.Fi.attempts_failed + reduce.Fi.attempts_failed)
+        0
+        (List.filter
+           (fun (ev : Trace.event) -> Filename.basename ev.Trace.name = "failed")
+           (Trace.spans_with_cat (Exec_ctx.trace ctx) "abort"))
+    in
+    let in_jobs =
+      List.fold_left (fun acc j -> acc + j.Stats.attempts_failed) 0
+        st.Stats.jobs
+    in
+    check_int "three lost submissions" 3
+      (Metrics.get (Exec_ctx.metrics ctx) "mr.job_resubmissions");
+    check_int "a map-side crash preceded a reduce-side loss" 1 !lost_after_map;
+    check_int "lost attempts are the lost submissions' crashes" lost
+      (Stats.total_attempts_failed st - in_jobs);
+    check_int "Stats agrees with mr.attempts_failed"
+      (Metrics.get (Exec_ctx.metrics ctx) "mr.attempts_failed")
+      (Stats.total_attempts_failed st)
+
 let suite =
   [
     Alcotest.test_case "parse spec" `Quick test_parse_spec;
@@ -583,6 +650,8 @@ let suite =
     Alcotest.test_case "pp_abort golden" `Quick test_pp_abort_golden;
     Alcotest.test_case "lost submissions' attempts in Stats" `Quick
       test_lost_submission_attempts;
+    Alcotest.test_case "lost submissions' map-side attempts" `Quick
+      test_lost_map_side_attempts;
     Alcotest.test_case "engines transparent under faults" `Slow
       test_engines_transparent_under_faults;
   ]
