@@ -22,7 +22,8 @@ let () =
       ~map_join_threshold:(24 * 1024) ()
   in
   let runs =
-    Experiment.run_queries options ~label:"bsbm-example" input
+    List.map
+      (Experiment.run_query options ~label:"bsbm-example" input)
       [ Catalog.find_exn "MG1"; Catalog.find_exn "MG3" ]
   in
   Fmt.pr "%a"

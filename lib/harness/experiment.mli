@@ -1,36 +1,38 @@
 (** Experiment runner: evaluate catalog queries on all engines over a
-    prepared dataset, verify every engine against the reference
-    evaluator, and collect simulator statistics.
+    prepared dataset, verify every engine against a reference, and keep
+    each engine's run for the reports.
 
     Each engine run gets a fresh execution context built from the given
-    options, so the per-result trace and phase breakdown describe exactly
-    one engine's workflow. *)
+    options, so a run's trace and counters describe exactly one engine's
+    workflow. *)
 
 module Engine = Rapida_core.Engine
 module Catalog = Rapida_queries.Catalog
-module Stats = Rapida_mapred.Stats
-module Trace = Rapida_mapred.Trace
 
-type engine_result = {
+(** One engine's run of one query under one setting: the record every
+    sweep below keeps per engine. Cycle counts, bytes and simulated
+    seconds are read from the output's {!Rapida_mapred.Stats}. *)
+type engine_run = {
   engine : Engine.kind;
-  cycles : int;
-  map_only_cycles : int;
-  input_bytes : int;
-  shuffle_bytes : int;
-  output_bytes : int;
-  est_time_s : float;  (** simulated cluster seconds from the cost model *)
-  phases : Stats.breakdown;  (** per-phase totals across the workflow *)
-  result_rows : int;
-  agreed : bool;  (** result identical to the reference evaluator *)
-  error : string option;
-  trace : Trace.t;  (** the run's span trace (Chrome trace-event export) *)
+  setting : string;
+      (** the setting's label: the knob setting in a {!knob_sweep}, the
+          dataset label in {!run_query} *)
+  output : (Engine.output, string) result;
+      (** the run's output, or why it failed (e.g. out of retries) *)
+  ctx : Rapida_mapred.Exec_ctx.t;
+      (** the run's context: its counters and its span trace (kept for a
+          failed run too) *)
+  agreed : bool;
+      (** the run completed and its result is identical to the
+          reference: the reference evaluator in {!run_query}, the
+          engine's first-setting run in {!knob_sweep} *)
 }
 
 type run = {
   query : Catalog.entry;
   dataset_label : string;
   triples : int;
-  results : engine_result list;
+  results : engine_run list;
 }
 
 (** [run_query ?engines options ~label input entry] evaluates one catalog
@@ -40,33 +42,19 @@ val run_query :
   Rapida_core.Plan_util.options ->
   label:string -> Engine.input -> Catalog.entry -> run
 
-(** [run_queries] maps {!run_query} over entries, reusing the input. *)
-val run_queries :
-  ?engines:Engine.kind list ->
-  Rapida_core.Plan_util.options ->
-  label:string -> Engine.input -> Catalog.entry list -> run list
-
 (** [result_for run kind] finds an engine's result in a run. *)
-val result_for : run -> Engine.kind -> engine_result option
+val result_for : run -> Engine.kind -> engine_run option
 
 (** [all_agreed run] holds when every engine matched the reference. *)
 val all_agreed : run -> bool
 
-(** One engine's result cardinality checked against the analyzer's root
-    interval in an {!estimation_sweep}. *)
-type estimation_result = {
-  e_engine : Engine.kind;
-  e_rows : int;  (** the engine's result cardinality *)
-  e_in_bounds : bool;  (** [e_rows] inside the root interval *)
-  e_error : string option;
-}
-
 (** One catalog query's static-estimation quality: the analyzer's root
     interval and point estimate against the measured cardinality, the
-    per-node soundness count, and every engine's result checked against
-    the root interval. *)
+    per-node soundness count, and the query's {!run_query} on every
+    engine, whose result cardinalities the report checks against the
+    root interval. *)
 type estimation = {
-  e_query : Catalog.entry;
+  e_run : run;
   e_nodes : int;  (** plan nodes annotated *)
   e_root : Rapida_analysis.Interval.Card.t;  (** root interval *)
   e_estimate : float;  (** root point estimate *)
@@ -77,7 +65,6 @@ type estimation = {
       (** plan nodes whose interval misses the measured cardinality —
           soundness demands 0 *)
   e_analysis_s : float;  (** wall-clock of the static analysis alone *)
-  e_results : estimation_result list;
 }
 
 type estimation_sweep = {
@@ -90,9 +77,8 @@ type estimation_sweep = {
 (** [estimation_sweep options ~label input entries] builds a
     {!Rapida_analysis.Stats_catalog} from the input's graph (timed),
     statically analyzes every entry, measures every plan node's true
-    cardinality, and runs every engine to check its result cardinality
-    against the root interval — the q-error/soundness view of the
-    static analyzer across the catalog. *)
+    cardinality, and runs every engine on it — the q-error/soundness
+    view of the static analyzer across the catalog. *)
 val estimation_sweep :
   ?engines:Engine.kind list ->
   Rapida_core.Plan_util.options ->
@@ -112,33 +98,19 @@ val q_error_percentile : float -> estimation list -> float
 (** [max_q_error ests] is the worst root q-error (0 when empty). *)
 val max_q_error : estimation list -> float
 
-(** One engine under one setting of a {!knob_sweep}. *)
-type knob_point = {
-  k_engine : Engine.kind;
-  k_setting : string;  (** the setting's label *)
-  k_result : (Engine.output, string) result;
-      (** the run's output, or why it failed (e.g. out of retries) *)
-  k_metrics : Rapida_mapred.Metrics.t;  (** the run's counters *)
-  k_slowdown : float;
-      (** simulated time over the engine's first-setting time; 0 when
-          the run failed *)
-  k_transparent : bool;
-      (** result identical to the engine's first-setting result *)
-}
-
 type knob_sweep = {
   k_title : string;
   k_settings : string list;  (** setting labels, in sweep order *)
-  k_points : knob_point list;  (** engine-major, setting order *)
+  k_runs : engine_run list;  (** engine-major, setting order *)
 }
 
 (** [knob_sweep ?engines ~title ~settings options input entry] runs one
     catalog query on every engine under each labelled setting, where a
     setting transforms [options] (a fault rate, a heap budget, a
     checkpoint policy, an ablation toggle). The first setting is the
-    baseline: each point records its slowdown against, and result
-    identity with, the same engine's first-setting run — the
-    transparency invariant every knob must keep.
+    baseline: each run is checked for result identity with the same
+    engine's first-setting run — the transparency invariant every knob
+    must keep.
 
     @raise Invalid_argument when [settings] is empty or a first-setting
     run fails. *)
@@ -185,14 +157,6 @@ val throughput :
   Rapida_server.Workload.t ->
   throughput
 
-(** [throughput_point sweep ~window_s ~policy ~share] finds one setting. *)
-val throughput_point :
-  throughput ->
-  window_s:float ->
-  policy:Rapida_mapred.Scheduler.policy ->
-  share:bool ->
-  throughput_point option
-
 (** One (arrival rate, fault rate) grid point of an {!overload_sweep}:
     the same deadline-carrying workload through a protected server
     (bounded queue, deadline-aware shedding, circuit breaker,
@@ -230,11 +194,6 @@ val overload_sweep :
   Engine.kind ->
   Engine.input ->
   overload
-
-(** [overload_point sweep ~mean_gap_s ~fault_rate] finds one grid
-    point. *)
-val overload_point :
-  overload -> mean_gap_s:float -> fault_rate:float -> overload_point option
 
 (** A fuzzing run pair for the benchmark harness: a clean run over the
     built-in dataset (expected to pass every oracle) and a short run

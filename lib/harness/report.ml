@@ -1,5 +1,7 @@
 module Engine = Rapida_core.Engine
 module Catalog = Rapida_queries.Catalog
+module Stats = Rapida_mapred.Stats
+module Table = Rapida_relational.Table
 
 let engine_header kind =
   match kind with
@@ -8,15 +10,14 @@ let engine_header kind =
   | Engine.Rapid_plus -> "RAPID+"
   | Engine.Rapid_analytics -> "RAPIDAnalytics"
 
-let cell_for run kind f missing =
+(* An engine's cell: [error] for a failed run, otherwise [f] of its
+   output, marked [*] when it disagreed with the reference. *)
+let cell_for run kind f =
   match Experiment.result_for run kind with
-  | None -> missing
-  | Some r -> (
-    match r.Experiment.error with
-    | Some _ -> "error"
-    | None ->
-      let text = f r in
-      if r.Experiment.agreed then text else text ^ "*")
+  | None -> "-"
+  | Some { output = Error _; _ } -> "error"
+  | Some ({ output = Ok out; _ } as r) ->
+    if r.agreed then f out else f out ^ "*"
 
 let header ~title ~engines ppf runs =
   (match runs with
@@ -27,12 +28,13 @@ let header ~title ~engines ppf runs =
   Fmt.pf ppf "%-6s" "Query";
   List.iter (fun k -> Fmt.pf ppf " %14s" (engine_header k)) engines
 
+let est_time_s (out : Engine.output) = Stats.est_time_s out.stats
+
 let speedup run ~baseline ~target =
   match Experiment.result_for run baseline, Experiment.result_for run target with
-  | Some b, Some t
-    when b.Experiment.error = None && t.Experiment.error = None
-         && t.Experiment.est_time_s > 0.0 ->
-    Some (b.Experiment.est_time_s /. t.Experiment.est_time_s)
+  | Some { output = Ok b; _ }, Some { output = Ok t; _ }
+    when est_time_s t > 0.0 ->
+    Some (est_time_s b /. est_time_s t)
   | _ -> None
 
 let pp_comparison ~title ~engines ppf runs =
@@ -47,9 +49,8 @@ let pp_comparison ~title ~engines ppf runs =
       List.iter
         (fun k ->
           Fmt.pf ppf " %14s"
-            (cell_for run k
-               (fun r -> Printf.sprintf "%.1fs" r.Experiment.est_time_s)
-               "-"))
+            (cell_for run k (fun out ->
+                 Printf.sprintf "%.1fs" (est_time_s out))))
         engines;
       (match engines with
       | first :: (_ :: _ as rest) -> (
@@ -69,28 +70,31 @@ let pp_table ~title ~engines ~footer cell ppf runs =
   List.iter
     (fun run ->
       Fmt.pf ppf "%-6s" run.Experiment.query.Catalog.id;
-      List.iter (fun k -> Fmt.pf ppf " %14s" (cell_for run k cell "-")) engines;
+      List.iter
+        (fun k ->
+          Fmt.pf ppf " %14s"
+            (cell_for run k (fun (out : Engine.output) -> cell out.stats)))
+        engines;
       Fmt.pf ppf "@.")
     runs;
   Fmt.pf ppf "(%s)@." footer
 
 let pp_cycles =
-  pp_table ~footer:"MapReduce cycles per query" (fun r ->
-      Printf.sprintf "%d (%d map-only)" r.Experiment.cycles
-        r.Experiment.map_only_cycles)
+  pp_table ~footer:"MapReduce cycles per query" (fun stats ->
+      Printf.sprintf "%d (%d map-only)" (Stats.cycles stats)
+        (Stats.map_only_cycles stats))
 
 let pp_bytes =
-  pp_table ~footer:"bytes shuffled between map and reduce phases" (fun r ->
+  pp_table ~footer:"bytes shuffled between map and reduce phases" (fun stats ->
       Printf.sprintf "%.1fKB"
-        (float_of_int r.Experiment.shuffle_bytes /. 1024.0))
+        (float_of_int (Stats.total_shuffle_bytes stats) /. 1024.0))
 
 let pp_phases =
   pp_table
     ~footer:
       "simulated seconds per phase: startup/map/shuffle+sort/reduce[/spill]"
-    (fun r ->
-      let b = r.Experiment.phases in
-      let module Stats = Rapida_mapred.Stats in
+    (fun stats ->
+      let b = Stats.total_breakdown stats in
       let base =
         Printf.sprintf "%.0f/%.0f/%.0f/%.0f" b.Stats.startup_s b.Stats.map_s
           (b.Stats.shuffle_s +. b.Stats.sort_s)
@@ -100,19 +104,20 @@ let pp_phases =
         Printf.sprintf "%s/%.0f" base b.Stats.spill_s
       else base)
 
-let knob_cell (p : Experiment.knob_point) =
-  let module Stats = Rapida_mapred.Stats in
-  match p.Experiment.k_result with
+(* A knob-sweep cell; [base_s] is the engine's first-setting time. *)
+let knob_cell ~base_s (r : Experiment.engine_run) =
+  match r.output with
   | Error _ -> "aborted"
   | Ok { Engine.stats; _ } ->
-    let count = Rapida_mapred.Metrics.get p.Experiment.k_metrics in
+    let count = Rapida_mapred.(Metrics.get (Exec_ctx.metrics r.ctx)) in
     let recoveries = count "mr.recoveries" in
     let checkpoints = Stats.checkpoints_written stats in
+    let t = Stats.est_time_s stats in
     String.concat ""
       [
-        Printf.sprintf "%.1fs %.1fKB (%.2fx)" (Stats.est_time_s stats)
+        Printf.sprintf "%.1fs %.1fKB (%.2fx)" t
           (float_of_int (Stats.total_shuffle_bytes stats) /. 1024.0)
-          p.Experiment.k_slowdown;
+          (if base_s > 0.0 then t /. base_s else 1.0);
         (if Stats.total_spill_passes stats > 0 then " s" else "");
         (if Stats.total_oom_kills stats > 0 then "!o" else "");
         (if count "mem.mapjoin_fallbacks" > 0 then "+r" else "");
@@ -120,19 +125,22 @@ let knob_cell (p : Experiment.knob_point) =
            Printf.sprintf " r%d/%.0fs" recoveries (Stats.replayed_s stats)
          else "");
         (if checkpoints > 0 then Printf.sprintf " c%d" checkpoints else "");
-        (if p.Experiment.k_transparent then "" else "*");
+        (if r.agreed then "" else "*");
       ]
 
 let pp_knob_sweep ~engines ppf (sweep : Experiment.knob_sweep) =
+  let find kind setting =
+    List.find_opt
+      (fun (r : Experiment.engine_run) ->
+        r.engine = kind && r.setting = setting)
+      sweep.Experiment.k_runs
+  in
+  let first = List.hd sweep.Experiment.k_settings in
   let cell kind setting =
-    match
-      List.find_opt
-        (fun (p : Experiment.knob_point) ->
-          p.k_engine = kind && p.k_setting = setting)
-        sweep.Experiment.k_points
-    with
-    | None -> "-"
-    | Some p -> knob_cell p
+    match (find kind setting, find kind first) with
+    | Some r, Some { output = Ok base; _ } ->
+      knob_cell ~base_s:(est_time_s base) r
+    | _ -> "-"
   in
   let rows =
     List.map
@@ -174,14 +182,12 @@ let pp_verification ppf runs =
     (fun run ->
       if not (Experiment.all_agreed run) then
         List.iter
-          (fun (r : Experiment.engine_result) ->
+          (fun (r : Experiment.engine_run) ->
             if not r.agreed then
               Fmt.pf ppf "  MISMATCH %s on %s%s@."
                 (Engine.kind_name r.engine)
                 run.Experiment.query.Catalog.id
-                (match r.error with
-                | Some e -> ": " ^ e
-                | None -> ""))
+                (match r.output with Error e -> ": " ^ e | Ok _ -> ""))
           run.Experiment.results)
     runs
 
@@ -259,24 +265,22 @@ let pp_estimation ~engines ppf (sweep : Experiment.estimation_sweep) =
   List.iter
     (fun (e : Experiment.estimation) ->
       Fmt.pf ppf "%-6s %-18s %10.1f %8d %7.2f %5d"
-        e.Experiment.e_query.Catalog.id
+        e.Experiment.e_run.Experiment.query.Catalog.id
         (Fmt.str "%a" Card.pp e.Experiment.e_root)
         e.Experiment.e_estimate e.Experiment.e_actual e.Experiment.e_q_error
         e.Experiment.e_violations;
       List.iter
         (fun k ->
           let cell =
-            match
-              List.find_opt
-                (fun (r : Experiment.estimation_result) -> r.e_engine = k)
-                e.Experiment.e_results
-            with
+            match Experiment.result_for e.Experiment.e_run k with
             | None -> "-"
-            | Some { e_error = Some _; _ } -> "error"
-            | Some r ->
+            | Some { output = Error _; _ } -> "error"
+            | Some { output = Ok out; _ } ->
+              let rows = Table.cardinality out.Engine.table in
               Printf.sprintf "%s%d"
-                (if r.Experiment.e_in_bounds then "ok" else "OUT")
-                r.Experiment.e_rows
+                (if Card.contains e.Experiment.e_root rows then "ok"
+                 else "OUT")
+                rows
           in
           Fmt.pf ppf " %14s" cell)
         engines;

@@ -456,20 +456,20 @@ let estimation_sweep_smoke () =
   Alcotest.(check bool) "has estimations" true (sweep.E.e_estimations <> []);
   List.iter
     (fun (est : E.estimation) ->
-      Alcotest.(check int)
-        (est.E.e_query.Catalog.id ^ " violations")
-        0 est.E.e_violations;
+      let id = est.E.e_run.E.query.Catalog.id in
+      Alcotest.(check int) (id ^ " violations") 0 est.E.e_violations;
       Alcotest.(check bool)
-        (est.E.e_query.Catalog.id ^ " q-error >= 1")
-        true
-        (est.E.e_q_error >= 1.0);
+        (id ^ " q-error >= 1") true (est.E.e_q_error >= 1.0);
       List.iter
-        (fun (r : E.estimation_result) ->
+        (fun (r : E.engine_run) ->
           Alcotest.(check bool)
-            (Printf.sprintf "%s %s in bounds" est.E.e_query.Catalog.id
-               (Engine.kind_name r.E.e_engine))
-            true r.E.e_in_bounds)
-        est.E.e_results)
+            (Printf.sprintf "%s %s in bounds" id (Engine.kind_name r.E.engine))
+            true
+            (match r.E.output with
+            | Ok out ->
+              Card.contains est.E.e_root (Table.cardinality out.Engine.table)
+            | Error _ -> false))
+        est.E.e_run.E.results)
     sweep.E.e_estimations;
   Alcotest.(check bool) "median q-error >= 1" true
     (E.median_q_error sweep.E.e_estimations >= 1.0)
