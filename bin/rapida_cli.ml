@@ -316,7 +316,8 @@ let query_cmd =
     Arg.(value & flag
          & info [ "json" ]
              ~doc:"Print the result table, statistics with per-phase time \
-                   breakdown, and counters as JSON.")
+                   breakdown, and counters as JSON. A workflow that aborts \
+                   prints its abort record instead, then fails.")
   in
   let faults =
     spec_arg "faults" Fault_injector.parse_spec Fault_injector.default
@@ -412,10 +413,22 @@ let query_cmd =
       let input = Engine.input_of_graph graph in
       let session = Engine.prepare engine input in
       (* The one place engine errors meet the exit-code convention:
-         Parse_error -> 2, runtime failures -> 1. *)
+         Parse_error -> 2, runtime failures -> 1. With --json an aborted
+         workflow also prints its abort record on stdout. *)
       let* out =
         Result.map_error
-          (fun e -> (Engine.error_exit_code e, Engine.error_message e))
+          (fun e ->
+            (match e with
+            | Engine.Job_failed a when json ->
+              print_endline
+                (Json.to_string
+                   (Json.Obj
+                      [
+                        ("engine", Json.String (Engine.kind_name engine));
+                        ("abort", Rapida_mapred.Workflow.abort_to_json a);
+                      ]))
+            | _ -> ());
+            (Engine.error_exit_code e, Engine.error_message e))
           (Engine.execute session ctx query)
       in
       let* () =

@@ -26,6 +26,22 @@ let pp_abort ppf a =
     a.a_completed
     (if a.a_completed = 1 then "" else "s")
 
+let abort_to_json a =
+  let f = a.a_failure in
+  Json.Obj
+    [
+      ("job", Json.String f.Job.f_job);
+      ("phase", Json.String (Fault_injector.phase_name f.Job.f_phase));
+      ("task", Json.Int f.Job.f_task);
+      ("attempts", Json.Int f.Job.f_attempts);
+      ("attempts_failed", Json.Int f.Job.f_attempts_failed);
+      ("reason", Json.String f.Job.f_reason);
+      ("elapsed_s", Json.Float f.Job.f_elapsed_s);
+      ("deterministic", Json.Bool f.Job.f_deterministic);
+      ("resubmissions", Json.Int a.a_resubmissions);
+      ("completed", Json.Int a.a_completed);
+    ]
+
 let create ctx =
   {
     ctx;

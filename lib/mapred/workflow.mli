@@ -29,6 +29,12 @@ exception Aborted of abort
 
 val pp_abort : abort Fmt.t
 
+(** [abort_to_json a] is [a] as one JSON object: the failed job, its
+    phase and task, the task's attempts, every crashed attempt of the
+    lost submission, the reason, the seconds it ran, whether the failure
+    is deterministic, then the resubmission and completed-job counts. *)
+val abort_to_json : abort -> Json.t
+
 val create : Exec_ctx.t -> t
 
 (** The execution context the workflow runs against. *)
