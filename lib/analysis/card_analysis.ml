@@ -653,48 +653,12 @@ let nodes t =
   List.rev (go t.root [])
 
 (* ---------------------------------------------------------------- *)
-(* Exact measurement with reference semantics *)
+(* Exact measurement with reference semantics: scans and stars take
+   their bindings from the reference evaluator's BGP matcher. *)
 
 type measured = { m_node : node; actual : int; m_children : measured list }
 
 type payload = Bindings of Binding.t list | Rel of Table.t
-
-let scan_bindings g (tp : Ast.triple_pattern) =
-  let candidates =
-    match tp.tp_s with
-    | Ast.Nterm s -> Graph.by_subject g s
-    | Ast.Nvar _ -> (
-      match tp.tp_p with
-      | Ast.Nterm p -> Graph.by_property g p
-      | Ast.Nvar _ -> Graph.triples g)
-  in
-  List.filter_map
-    (fun triple -> Binding.match_triple tp triple Binding.empty)
-    candidates
-
-let eval_bgp g bgp =
-  let candidates (tp : Ast.triple_pattern) binding =
-    let subject =
-      match tp.tp_s with
-      | Ast.Nterm t -> Some t
-      | Ast.Nvar v -> Binding.lookup binding v
-    in
-    match subject with
-    | Some s -> Graph.by_subject g s
-    | None -> (
-      match tp.tp_p with
-      | Ast.Nterm p -> Graph.by_property g p
-      | Ast.Nvar _ -> Graph.triples g)
-  in
-  List.fold_left
-    (fun bindings tp ->
-      List.concat_map
-        (fun b ->
-          List.filter_map
-            (fun triple -> Binding.match_triple tp triple b)
-            (candidates tp b))
-        bindings)
-    [ Binding.empty ] bgp
 
 (* Hash join of two binding sets on their shared variables. *)
 let join_bindings left right =
@@ -739,11 +703,11 @@ let measure g t =
   let rec go (n : node) : measured * payload =
     match n.op with
     | Scan tp ->
-      let bs = scan_bindings g tp in
+      let bs = Rapida_ref.Ref_engine.eval_bgp g [ tp ] in
       ({ m_node = n; actual = List.length bs; m_children = [] }, Bindings bs)
     | Star_join star ->
       let children = List.map (fun c -> fst (go c)) n.children in
-      let bs = eval_bgp g star.Star.patterns in
+      let bs = Rapida_ref.Ref_engine.eval_bgp g star.Star.patterns in
       ({ m_node = n; actual = List.length bs; m_children = children }, Bindings bs)
     | Filter fs -> (
       match n.children with
