@@ -59,7 +59,7 @@ val pp_throughput : Experiment.throughput Fmt.t
     point estimate, the measured cardinality and its q-error, the
     per-node interval-violation count (soundness demands 0), and one
     column per engine marking whether the engine's result cardinality
-    fell inside the root interval ([okN] / [outN] / [error]). The footer
+    fell inside the root interval ([okN] / [OUTN] / [error]). The footer
     reports the median, p95, and max root q-error, the worst per-node
     q-error, and the total violation count. *)
 val pp_estimation :
