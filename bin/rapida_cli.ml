@@ -294,7 +294,7 @@ let query_cmd =
     Arg.(value & flag
          & info [ "verify" ] ~doc:"Check the result against the reference evaluator.")
   in
-  let verify_plans =
+  let check_plans =
     Arg.(value & flag
          & info [ "verify-plans" ]
              ~doc:"Debug mode: re-check the optimizer invariants (composite \
@@ -374,7 +374,7 @@ let query_cmd =
             quarantine (quarantine every malformed line). Quarantined \
             lines are reported on stderr with line and column."
   in
-  let run (data, query_file, catalog_id) engine verify verify_plans show_stats
+  let run (data, query_file, catalog_id) engine verify check_plans show_stats
       trace_file json fault_cfg mem_cfg checkpoint_cfg analyze optimize
       opt_policy dirty_mode verbose =
     setup_logs verbose;
@@ -390,8 +390,7 @@ let query_cmd =
         Cluster.with_memory Plan_util.default_options.Plan_util.cluster mem_cfg
       in
       let options =
-        Plan_util.make ~cluster ~faults:fault_cfg ~checkpoint:checkpoint_cfg
-          ~verify_plans ()
+        Plan_util.make ~cluster ~faults:fault_cfg ~checkpoint:checkpoint_cfg ()
       in
       let* graph = usage (load_graph ~mode:dirty_mode data) in
       let* src = usage (query_text query_file catalog_id) in
@@ -432,6 +431,13 @@ let query_cmd =
           (Engine.execute session ctx query)
       in
       let* () =
+        if not check_plans then Ok ()
+        else
+          match Plan_verify.check_run engine query out.Engine.table with
+          | None -> Ok ()
+          | Some msg -> Error (1, msg)
+      in
+      let* () =
         if not verify then Ok ()
         else
           let* expected = runtime (Rapida_ref.Ref_engine.run_sparql graph src) in
@@ -467,7 +473,7 @@ let query_cmd =
           let analysis = Card_analysis.analyze catalog query in
           Some (analysis, Card_analysis.measure graph analysis)
       in
-      if verify_plans then
+      if check_plans then
         List.iter
           (fun d -> Fmt.epr "%a@." Diagnostic.pp d)
           (Plan_verify.verify_memory
@@ -558,7 +564,7 @@ let query_cmd =
     (Cmd.info "query" ~doc:"Run a SPARQL analytical query on a dataset")
     Term.(const run
           $ query_source_args (fun d q c -> (d, q, c))
-          $ engine $ verify $ verify_plans $ show_stats $ trace_file $ json
+          $ engine $ verify $ check_plans $ show_stats $ trace_file $ json
           $ faults $ mem $ checkpoint $ analyze $ optimize_arg $ opt_policy_arg
           $ dirty_input $ verbose_arg)
 
@@ -1397,7 +1403,6 @@ let fuzz_cmd =
           $ products $ adversarial $ knobs $ json $ verbose_arg)
 
 let () =
-  Plan_verify.install_engine_hook ();
   let doc = "RAPIDAnalytics: optimization of complex SPARQL analytical queries" in
   let info = Cmd.info "rapida" ~version:"1.0.0" ~doc in
   exit

@@ -471,17 +471,20 @@ let verify_cross_engine (q : Analytical.t) results =
           :: acc)
       per_engine rest
 
-let install_engine_hook () =
-  Engine.set_default_verifier (fun kind q table ->
-      let ds =
-        verify_query q
-        @ verify_result ~engine:(Engine.kind_name kind) q table
-      in
-      List.filter_map
-        (fun d ->
-          if Diagnostic.is_error d then Some (Fmt.str "%a" Diagnostic.pp d)
-          else None)
-        ds)
+let check_run kind q table =
+  let engine = Engine.kind_name kind in
+  match
+    List.filter_map
+      (fun d ->
+        if Diagnostic.is_error d then Some (Fmt.str "%a" Diagnostic.pp d)
+        else None)
+      (verify_query q @ verify_result ~engine q table)
+  with
+  | [] -> None
+  | problems ->
+    Some
+      (Fmt.str "plan verification failed (%s): %s" engine
+         (String.concat "; " problems))
 
 (* --- memory overcommit (warning) -------------------------------------- *)
 

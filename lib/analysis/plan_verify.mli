@@ -71,12 +71,14 @@ val verify_result : engine:string -> Analytical.t -> Table.t -> Diagnostic.t lis
 val verify_cross_engine :
   Analytical.t -> (string * Table.t) list -> Diagnostic.t list
 
-(** [install_engine_hook ()] registers {!verify_query} + {!verify_result}
-    as the {!Rapida_core.Engine.set_default_verifier} callback, so engines
-    re-verify after every run when the execution context has
-    [verify_plans] set. The registry indirection exists because core
-    cannot depend on this library. Idempotent. *)
-val install_engine_hook : unit -> unit
+(** [check_run kind q table] checks a finished run of engine [kind] on
+    [q]: {!verify_query} plus {!verify_result} on the run's [table]. It
+    is [None] when neither reports an error, else the one-line failure
+    [plan verification failed (<engine>): <problem>; <problem>...].
+    Pure and called after {!Rapida_core.Engine.execute} returns, so the
+    run's answer, trace and counters are the same whether or not it is
+    checked. *)
+val check_run : Engine.kind -> Analytical.t -> Table.t -> string option
 
 (** [verify_memory ~heap_bytes ~agj_ht_bytes] checks the Agg-Join's
     estimated per-task hash-table footprint (the [mem.agj_ht_bytes]

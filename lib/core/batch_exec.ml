@@ -123,14 +123,6 @@ let demux wf members tables =
 let run_group session ctx group =
   let kind = Engine.session_kind session in
   let input = Engine.session_input session in
-  let verifier = Engine.session_verifier session in
-  let verify m table =
-    if not (Exec_ctx.verify_plans ctx) then Ok table
-    else
-      match verifier kind m.m_query table with
-      | [] -> Ok table
-      | problems -> Error (Engine.Verify_failed { kind; problems })
-  in
   match group with
   | { g_members = [ m ]; _ } ->
     (* Singleton groups take the exact solo path: byte-identical cost
@@ -161,7 +153,7 @@ let run_group session ctx group =
       (tables, Workflow.stats wf)
     in
     match Engine.guard shared with
-    | Ok (tables, stats) -> { outputs = List.map2 verify members tables; stats }
+    | Ok (tables, stats) -> { outputs = List.map Result.ok tables; stats }
     | Error e ->
       { outputs = List.map (fun _ -> Error e) members; stats = Stats.empty })
   | { g_members = _ :: _ :: _; g_composite = None } ->

@@ -72,7 +72,5 @@ type result = {
 (** [run_group session ctx group] executes one group against the
     session's engine: singleton groups via plain {!Engine.execute},
     multi-member groups via the shared composite plan (shared scan and
-    joins, per-member aggregation channels, one demux cycle). Honors
-    {!Exec_ctx.verify_plans} by re-verifying every member query with the
-    session's verifier, exactly as {!Engine.execute} does. *)
+    joins, per-member aggregation channels, one demux cycle). *)
 val run_group : Engine.session -> Exec_ctx.t -> group -> result

@@ -48,15 +48,11 @@ type error =
   | Parse_error of string
   | Plan_rejected of string
   | Job_failed of Workflow.abort
-  | Verify_failed of { kind : kind; problems : string list }
 
 let error_message = function
   | Parse_error msg -> msg
   | Plan_rejected msg -> msg
   | Job_failed abort -> Fmt.str "%a" Workflow.pp_abort abort
-  | Verify_failed { kind; problems } ->
-    Fmt.str "plan verification failed (%s): %s" (kind_name kind)
-      (String.concat "; " problems)
 
 let pp_error ppf e = Fmt.string ppf (error_message e)
 
@@ -66,36 +62,18 @@ let pp_error ppf e = Fmt.string ppf (error_message e)
 let error_exit_code = function Parse_error _ -> 2 | _ -> 1
 let error_transient = function Job_failed _ -> true | _ -> false
 
-type verifier = kind -> Analytical.t -> Table.t -> string list
+type session = { s_kind : kind; s_input : input }
 
-(* Static plan verification is provided by the analysis library, which
-   depends on this one; the registry indirection breaks the cycle. The
-   default verifier accepts everything, so nothing changes until
-   [Rapida_analysis.Plan_verify.install_engine_hook] runs. Sessions
-   capture the registered default at [prepare] time — executions never
-   read this cell, so re-registration cannot race a running query. *)
-let default_verifier : verifier ref = ref (fun _ _ _ -> [])
-
-let set_default_verifier f = default_verifier := f
-
-type session = { s_kind : kind; s_input : input; s_verifier : verifier }
-
-let prepare ?verifier kind input =
+let prepare kind input =
   (* Force the storage layout this engine kind scans, so every later
      [execute] starts from prepared storage. *)
   (match kind with
   | Hive_naive | Hive_mqo -> ignore (Lazy.force input.vp)
   | Rapid_plus | Rapid_analytics -> ignore (Lazy.force input.tg_store));
-  {
-    s_kind = kind;
-    s_input = input;
-    s_verifier =
-      (match verifier with Some f -> f | None -> !default_verifier);
-  }
+  { s_kind = kind; s_input = input }
 
 let session_kind s = s.s_kind
 let session_input s = s.s_input
-let session_verifier s = s.s_verifier
 
 (* The one error boundary of an engine run: a workflow that exhausts its
    whole-job retries, and a query the engine has no plan for, surface as
@@ -107,7 +85,7 @@ let guard f =
   | exception (Failure msg | Invalid_argument msg) -> Error (Plan_rejected msg)
 
 let execute session ctx query =
-  let { s_kind = kind; s_input = input; s_verifier } = session in
+  let { s_kind = kind; s_input = input } = session in
   let run () =
     match kind with
     | Hive_naive -> Hive_naive.run ctx (Lazy.force input.vp) query
@@ -116,17 +94,9 @@ let execute session ctx query =
     | Rapid_analytics ->
       Rapid_analytics.run ctx (Lazy.force input.tg_store) query
   in
-  match guard run with
-  | Error e -> Error e
-  | Ok (table, stats) -> (
-    let output = { table; stats; trace = Exec_ctx.trace ctx } in
-    if not (Exec_ctx.verify_plans ctx) then Ok output
-    else
-      (* Verification is pure and runs no simulated jobs, so the trace
-         and counters — the cost-model outputs — are untouched. *)
-      match s_verifier kind query table with
-      | [] -> Ok output
-      | problems -> Error (Verify_failed { kind; problems }))
+  Result.map
+    (fun (table, stats) -> { table; stats; trace = Exec_ctx.trace ctx })
+    (guard run)
 
 let execute_sparql session ctx src =
   match Analytical.parse src with

@@ -63,15 +63,11 @@ type output = {
       never binds, a disconnected join graph. Deterministic: retrying
       the same query cannot succeed.
     - [Job_failed]: a simulated workflow ran out of whole-job
-      resubmissions and aborted (the {!Workflow.Aborted} payload).
-    - [Verify_failed]: the session's static plan verifier rejected the
-      run ({!Exec_ctx.verify_plans} was set and the verifier returned
-      problems). *)
+      resubmissions and aborted (the {!Workflow.Aborted} payload). *)
 type error =
   | Parse_error of string
   | Plan_rejected of string
   | Job_failed of Workflow.abort
-  | Verify_failed of { kind : kind; problems : string list }
 
 val pp_error : error Fmt.t
 
@@ -85,40 +81,22 @@ val error_exit_code : error -> int
 
 (** [error_transient e] is true when retrying the same query later could
     plausibly succeed — only {!Job_failed}, whose fault fates are drawn
-    per attempt. [Parse_error], [Plan_rejected], and [Verify_failed] are
-    deterministic properties of the query and plan; a circuit breaker
-    must not trip on them. *)
+    per attempt. [Parse_error] and [Plan_rejected] are deterministic
+    properties of the query and plan; a circuit breaker must not trip on
+    them. *)
 val error_transient : error -> bool
-
-(** A verifier re-checks a finished run: [f kind query table] returns
-    human-readable problems; a non-empty list fails the execution with
-    {!Verify_failed}. Consulted only when the execution's context has
-    {!Exec_ctx.verify_plans} set. *)
-type verifier = kind -> Analytical.t -> Table.t -> string list
 
 (** An engine kind bound to a prepared dataset. Sessions are immutable
     and cheap to copy around; the expensive part — forcing the storage
-    layout the kind scans — happens once in {!prepare}. Each session
-    carries its own plan-verifier hook, so concurrent sessions (a query
-    server running many queries with different [verify_plans] settings)
-    can never race on, or cross-contaminate through, process-global
-    state. *)
+    layout the kind scans — happens once in {!prepare}. *)
 type session
 
-(** [prepare ?verifier kind input] builds the session: forces the
-    storage layout [kind] scans and captures the verifier — [?verifier]
-    when given, otherwise the process default registered by
-    {!set_default_verifier} (the accept-everything verifier until
-    [Rapida_analysis.Plan_verify.install_engine_hook] runs). *)
-val prepare : ?verifier:verifier -> kind -> input -> session
+(** [prepare kind input] builds the session and forces the storage
+    layout [kind] scans. *)
+val prepare : kind -> input -> session
 
 val session_kind : session -> kind
 val session_input : session -> input
-
-(** The verifier this session captured at {!prepare} time. Exposed so
-    {!Batch_exec} can verify shared-plan members exactly as {!execute}
-    verifies solo runs. *)
-val session_verifier : session -> verifier
 
 (** [guard f] runs one engine evaluation [f ()] behind the engines' one
     error boundary: {!Workflow.Aborted} becomes [Job_failed], and
@@ -128,21 +106,10 @@ val session_verifier : session -> verifier
 val guard : (unit -> 'a) -> ('a, error) result
 
 (** [execute session ctx query] evaluates an analytical query with the
-    session's engine, recording telemetry into [ctx]. When the context
-    has [verify_plans] set, the session's verifier re-checks the
-    optimizer invariants and result schema after the run — out of band,
-    so cost-model outputs are unchanged. *)
+    session's engine, recording telemetry into [ctx]. *)
 val execute :
   session -> Exec_ctx.t -> Analytical.t -> (output, error) result
 
 (** [execute_sparql session ctx src] parses and executes. *)
 val execute_sparql :
   session -> Exec_ctx.t -> string -> (output, error) result
-
-(** [set_default_verifier f] registers the verifier that {!prepare}
-    captures when none is passed explicitly. Registered by
-    [Rapida_analysis.Plan_verify.install_engine_hook] — a registry,
-    rather than a direct call, because the analysis library depends on
-    this one. Affects only sessions prepared {e after} the call;
-    existing sessions keep the verifier they captured. *)
-val set_default_verifier : verifier -> unit

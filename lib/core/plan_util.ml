@@ -18,26 +18,24 @@ type options = {
   ntga_filter_pushdown : bool;
   faults : Rapida_mapred.Fault_injector.config;
   checkpoint : Rapida_mapred.Checkpoint.config;
-  verify_plans : bool;
   join_orders : (int * int list) list;
 }
 
 let default_options =
   {
     cluster = Rapida_mapred.Cluster.default;
-    map_join_threshold = 64 * 1024;
-    hive_compression = 0.06;
-    ntga_combiner = true;
-    ntga_filter_pushdown = true;
+    map_join_threshold = Exec_ctx.default_planner.map_join_threshold;
+    hive_compression = Exec_ctx.default_planner.hive_compression;
+    ntga_combiner = Exec_ctx.default_planner.ntga_combiner;
+    ntga_filter_pushdown = Exec_ctx.default_planner.ntga_filter_pushdown;
     faults = Rapida_mapred.Fault_injector.default;
     checkpoint = Rapida_mapred.Checkpoint.default;
-    verify_plans = false;
     join_orders = [];
   }
 
 let make ?(base = default_options) ?cluster ?map_join_threshold
     ?hive_compression ?ntga_combiner ?ntga_filter_pushdown ?faults
-    ?checkpoint ?verify_plans ?join_orders () =
+    ?checkpoint ?join_orders () =
   {
     cluster = Option.value ~default:base.cluster cluster;
     map_join_threshold =
@@ -49,7 +47,6 @@ let make ?(base = default_options) ?cluster ?map_join_threshold
       Option.value ~default:base.ntga_filter_pushdown ntga_filter_pushdown;
     faults = Option.value ~default:base.faults faults;
     checkpoint = Option.value ~default:base.checkpoint checkpoint;
-    verify_plans = Option.value ~default:base.verify_plans verify_plans;
     join_orders = Option.value ~default:base.join_orders join_orders;
   }
 
@@ -74,8 +71,7 @@ let context options =
         ntga_filter_pushdown = options.ntga_filter_pushdown;
       }
     ~faults:(Rapida_mapred.Fault_injector.create options.faults)
-    ~checkpoint:options.checkpoint ~verify_plans:options.verify_plans
-    ~join_orders:options.join_orders ()
+    ~checkpoint:options.checkpoint ~join_orders:options.join_orders ()
 
 let hive_ctx ctx =
   Exec_ctx.with_cluster ctx

@@ -38,11 +38,6 @@ type options = {
       (** workflow checkpoint/recovery policy; the default
           ({!Rapida_mapred.Checkpoint.default}, [Never]) leaves the cost
           model untouched and reserves {!Workflow.Aborted} behaviour. *)
-  verify_plans : bool;
-      (** debug mode: after every engine run, re-check the optimizer
-          invariants and result schema with the registered static plan
-          verifier (see {!Engine.set_default_verifier}). Pure and
-          out-of-band — cost-model outputs are unchanged. *)
   join_orders : (int * int list) list;
       (** optimizer-chosen star-id join orders, keyed by subquery id
           (reserved key [-1]: the composite MQO plan's [cs_id] order).
@@ -65,7 +60,6 @@ val make :
   ?ntga_filter_pushdown:bool ->
   ?faults:Rapida_mapred.Fault_injector.config ->
   ?checkpoint:Rapida_mapred.Checkpoint.config ->
-  ?verify_plans:bool ->
   ?join_orders:(int * int list) list ->
   unit -> options
 

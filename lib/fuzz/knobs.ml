@@ -76,8 +76,7 @@ let generate rng ~n =
       in
       let options =
         Plan_util.make ~cluster ~map_join_threshold ~hive_compression
-          ~ntga_combiner ~ntga_filter_pushdown ~faults ~checkpoint
-          ~verify_plans:true ()
+          ~ntga_combiner ~ntga_filter_pushdown ~faults ~checkpoint ()
       in
       let label =
         Printf.sprintf "%s/%s/%s/mjt=%s%s%s%s" flabel mlabel clabel

@@ -18,7 +18,6 @@ type t = {
   planner : planner;
   faults : Fault_injector.t;
   checkpoint : Checkpoint.config;
-  verify_plans : bool;
   join_orders : (int * int list) list;
   metrics : Metrics.t;
   trace : Trace.t;
@@ -26,14 +25,12 @@ type t = {
 
 let create ?(cluster = Cluster.default) ?(planner = default_planner)
     ?(faults = Fault_injector.create Fault_injector.default)
-    ?(checkpoint = Checkpoint.default) ?(verify_plans = false)
-    ?(join_orders = []) () =
+    ?(checkpoint = Checkpoint.default) ?(join_orders = []) () =
   {
     cluster;
     planner;
     faults;
     checkpoint = Checkpoint.create checkpoint;
-    verify_plans;
     join_orders;
     metrics = Metrics.create ();
     trace = Trace.create ();
@@ -43,7 +40,6 @@ let cluster t = t.cluster
 let planner t = t.planner
 let faults t = t.faults
 let checkpoint t = t.checkpoint
-let verify_plans t = t.verify_plans
 let join_order t key = List.assoc_opt key t.join_orders
 let metrics t = t.metrics
 let trace t = t.trace

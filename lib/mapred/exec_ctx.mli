@@ -28,12 +28,11 @@ val default_planner : planner
 
 type t
 
-(** [create ?cluster ?planner ?faults ?checkpoint ?verify_plans
-    ?join_orders ()] is a fresh context with empty metrics and trace.
-    Defaults: {!Cluster.default}, {!default_planner}, an inactive
+(** [create ?cluster ?planner ?faults ?checkpoint ?join_orders ()] is a
+    fresh context with empty metrics and trace. Defaults:
+    {!Cluster.default}, {!default_planner}, an inactive
     {!Fault_injector.t} (healthy cluster), {!Checkpoint.default} (no
-    checkpoints, no recovery), [verify_plans = false], and no join-order
-    hints.
+    checkpoints, no recovery), and no join-order hints.
 
     @raise Invalid_argument on an invalid [checkpoint] config. *)
 val create :
@@ -41,7 +40,6 @@ val create :
   ?planner:planner ->
   ?faults:Fault_injector.t ->
   ?checkpoint:Checkpoint.config ->
-  ?verify_plans:bool ->
   ?join_orders:(int * int list) list ->
   unit ->
   t
@@ -57,13 +55,6 @@ val faults : t -> Fault_injector.t
     ([Never]) by default — no checkpoints, no recovery, and a cost model
     bit-identical to one without the recovery layer. *)
 val checkpoint : t -> Checkpoint.config
-
-(** Debug mode: when set, engines ask the registered static plan
-    verifier (see [Rapida_core.Engine.set_default_verifier]) to re-check
-    optimizer invariants and the result schema after every run.
-    Verification is pure and out-of-band — it runs no simulated jobs, so
-    enabling it never perturbs the cost model. *)
-val verify_plans : t -> bool
 
 (** [join_order t key] is the optimizer-chosen star-id join order for
     the subquery (or composite) identified by [key], if any. Keys are
