@@ -53,13 +53,16 @@
                               [--mem SPEC] [--checkpoint SPEC]
                               [section ...]  (default: all)
 
-   With --trace DIR, each engine run writes its Chrome trace-event file
-   to DIR/<section>-<query>-<engine>.json. With --faults SPEC (same
-   key=value spec as `rapida query --faults`), every section's engine
-   runs execute under that fault configuration; --mem SPEC (same spec as
-   `rapida query --mem`) likewise bounds the per-task memory of every
-   section's simulated cluster, and --checkpoint SPEC (same spec as
-   `rapida query --checkpoint`) checkpoints every section's workflows.
+   With --trace DIR, each engine run of the paper's tables writes its
+   Chrome trace-event file to
+   DIR/<section>-<label>-<query>-<engine>.json, where <label> is the
+   table's dataset (BSBM-small, BSBM-large, ...). With --faults SPEC
+   (same key=value spec as `rapida query --faults`), every section's
+   engine runs execute under that fault configuration; --mem SPEC
+   (same spec as `rapida query --mem`) likewise bounds the per-task
+   memory of every section's simulated cluster, and --checkpoint SPEC
+   (same spec as `rapida query --checkpoint`) checkpoints every
+   section's workflows.
    An unknown section, a missing option value, or a malformed one exits
    with status 2. *)
 
@@ -184,8 +187,8 @@ let dump_traces ~section runs =
           (fun (r : Experiment.engine_run) ->
             let path =
               Filename.concat dir
-                (Printf.sprintf "%s-%s-%s.json" section
-                   run.Experiment.query.Catalog.id
+                (Printf.sprintf "%s-%s-%s-%s.json" section
+                   run.Experiment.dataset_label run.Experiment.query.Catalog.id
                    (Engine.kind_name r.engine))
             in
             Rapida_mapred.(Trace.write_file (Exec_ctx.trace r.ctx) path))
