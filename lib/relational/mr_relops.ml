@@ -15,53 +15,40 @@ let opt_key_size key =
 (* Tagged rows: which side of the join a shuffled row came from. *)
 type side = L | R
 
-let repartition_join wf ?(kind = `Inner) ~name a b =
+let repartition_join wf ~name a b =
   let shared = Relops.shared_cols a b in
   let schema = Relops.join_schema a b in
   let key_l = Relops.key_of_row a shared and key_r = Relops.key_of_row b shared in
-  let merge = Relops.merge_rows a b and pad = Relops.null_extend a b in
+  let merge = Relops.merge_rows a b in
   let tag side row = (side, row) in
   let input = List.map (tag L) a.Table.rows @ List.map (tag R) b.Table.rows in
   let spec : ((side * Table.row),
-              Term.t list option,
+              Term.t list,
               (side * Table.row),
               Table.row) Job.spec =
     {
       name;
       map =
         (fun (side, row) ->
+          (* NULL join keys never match, so such rows are not shuffled. *)
           match (match side with L -> key_l | R -> key_r) row with
-          | Some key -> [ (Some key, (side, row)) ]
-          | None -> (
-            (* NULL join keys never match; in a left-outer join the left
-               row must still survive, so route it to a private key. *)
-            match side, kind with
-            | L, `Left_outer -> [ (None, (L, row)) ]
-            | (L | R), (`Inner | `Left_outer) -> []));
+          | Some key -> [ (key, (side, row)) ]
+          | None -> []);
       combine = None;
       reduce =
-        (fun key tagged ->
-          match key with
-          | None ->
-            List.map (fun (_, row) -> pad ~left_row:row) tagged
-          | Some _ ->
-            let lefts =
-              List.filter_map (function L, r -> Some r | R, _ -> None) tagged
-            in
-            let rights =
-              List.filter_map (function R, r -> Some r | L, _ -> None) tagged
-            in
-            List.concat_map
-              (fun left_row ->
-                match rights, kind with
-                | [], `Left_outer -> [ pad ~left_row ]
-                | [], `Inner -> []
-                | rights, (`Inner | `Left_outer) ->
-                  List.map (fun right_row -> merge ~left_row ~right_row) rights)
-              lefts);
+        (fun _ tagged ->
+          let lefts =
+            List.filter_map (function L, r -> Some r | R, _ -> None) tagged
+          in
+          let rights =
+            List.filter_map (function R, r -> Some r | L, _ -> None) tagged
+          in
+          List.concat_map
+            (fun left_row ->
+              List.map (fun right_row -> merge ~left_row ~right_row) rights)
+            lefts);
       input_size = (fun (_, row) -> Table.row_size_bytes row);
-      key_size =
-        (fun key -> match key with Some k -> key_size k | None -> 4);
+      key_size;
       value_size = (fun (_, row) -> Table.row_size_bytes row + 1);
       output_size = Table.row_size_bytes;
     }
@@ -69,11 +56,11 @@ let repartition_join wf ?(kind = `Inner) ~name a b =
   let rows = Workflow.run_job wf spec input in
   Table.make ~name ~schema rows
 
-let map_join wf ?(kind = `Inner) ~name ~big ~small () =
+let map_join wf ~name ~big ~small () =
   let spec : (Table.row, Table.row) Job.map_only_spec =
     {
       mo_name = name;
-      mo_map = Relops.hash_probe ~kind big small;
+      mo_map = Relops.hash_probe big small;
       mo_input_size = Table.row_size_bytes;
       mo_output_size = Table.row_size_bytes;
     }

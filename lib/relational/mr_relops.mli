@@ -9,9 +9,7 @@
     combiner / hash-aggregation optimization). *)
 
 val repartition_join :
-  Rapida_mapred.Workflow.t ->
-  ?kind:[ `Inner | `Left_outer ] ->
-  name:string -> Table.t -> Table.t -> Table.t
+  Rapida_mapred.Workflow.t -> name:string -> Table.t -> Table.t -> Table.t
 
 (** [map_join wf ~name ~big ~small] broadcasts [small] to all mappers.
     [small] must be the right side of the natural join. The broadcast
@@ -21,7 +19,6 @@ val repartition_join :
     and their order are those of {!Relops.hash_join}. *)
 val map_join :
   Rapida_mapred.Workflow.t ->
-  ?kind:[ `Inner | `Left_outer ] ->
   name:string -> big:Table.t -> small:Table.t -> unit -> Table.t
 
 val group_aggregate :

@@ -41,10 +41,6 @@ let merge_rows a b =
   fun ~left_row ~right_row ->
     Array.append left_row (Array.map (fun i -> right_row.(i)) extra)
 
-let null_extend a b =
-  let pad = Array.make (List.length (right_only_cols a b)) None in
-  fun ~left_row -> Array.append left_row pad
-
 let key_of_row t cols =
   let idx = List.map (Table.col_index t) cols in
   fun row ->
@@ -55,10 +51,10 @@ let key_of_row t cols =
     in
     go [] idx
 
-let hash_probe ?(kind = `Inner) a b =
+let hash_probe a b =
   let shared = shared_cols a b in
   let key_a = key_of_row a shared and key_b = key_of_row b shared in
-  let merge = merge_rows a b and pad = null_extend a b in
+  let merge = merge_rows a b in
   let index = Hashtbl.create (max 16 (Table.cardinality b)) in
   List.iter
     (fun row ->
@@ -69,20 +65,14 @@ let hash_probe ?(kind = `Inner) a b =
       | None -> ())
     b.Table.rows;
   fun left_row ->
-    let matches =
-      match key_a left_row with
-      | Some key ->
-        Option.value ~default:[] (Hashtbl.find_opt index key) |> List.rev
-      | None -> []
-    in
-    match matches, kind with
-    | [], `Inner -> []
-    | [], `Left_outer -> [ pad ~left_row ]
-    | rows, (`Inner | `Left_outer) ->
-      List.map (fun right_row -> merge ~left_row ~right_row) rows
+    match key_a left_row with
+    | Some key ->
+      Option.value ~default:[] (Hashtbl.find_opt index key)
+      |> List.rev_map (fun right_row -> merge ~left_row ~right_row)
+    | None -> []
 
-let hash_join ?kind ~name a b =
-  let rows = List.concat_map (hash_probe ?kind a b) a.Table.rows in
+let hash_join ~name a b =
+  let rows = List.concat_map (hash_probe a b) a.Table.rows in
   Table.make ~name ~schema:(join_schema a b) rows
 
 (* Group keys are option lists so NULLs group together (SQL semantics). *)

@@ -47,32 +47,22 @@ val join_schema : Table.t -> Table.t -> string list
 val merge_rows :
   Table.t -> Table.t -> left_row:Table.row -> right_row:Table.row -> Table.row
 
-(** [null_extend a b ~left_row] pads a left row with NULLs for [b]'s
-    non-shared columns (left-outer non-match). *)
-val null_extend : Table.t -> Table.t -> left_row:Table.row -> Table.row
-
 (** [key_of_row t cols row] is the values of [cols]; [None] when any is
     NULL (NULL never equi-joins).
     @raise Not_found from [key_of_row t cols] on a missing column. *)
 val key_of_row : Table.t -> string list -> Table.row -> Term.t list option
 
-(** [hash_probe ?kind a b] indexes [b] on the shared columns and
-    returns the probe that joins one row of [a] against that index. The
-    index is built once, when [hash_probe ?kind a b] is partially
-    applied, so bind the probe before mapping it over many rows. Each
-    call returns the row's matches in [b]'s row order, merged into
-    [join_schema a b]. A row with a NULL key matches nothing; with
-    [`Left_outer], a row with no match comes back NULL-padded. *)
-val hash_probe :
-  ?kind:[ `Inner | `Left_outer ] -> Table.t -> Table.t -> Table.row ->
-  Table.row list
+(** [hash_probe a b] indexes [b] on the shared columns and returns the
+    probe that joins one row of [a] against that index. The index is
+    built once, when [hash_probe a b] is partially applied, so bind the
+    probe before mapping it over many rows. Each call returns the row's
+    matches in [b]'s row order, merged into [join_schema a b]. A row
+    with a NULL key matches nothing. *)
+val hash_probe : Table.t -> Table.t -> Table.row -> Table.row list
 
-(** [hash_join ?kind ~name a b] is the natural join: {!hash_probe} mapped
-    over [a]'s rows. NULL keys do not match; with [`Left_outer],
-    unmatched left rows survive NULL-padded. *)
-val hash_join :
-  ?kind:[ `Inner | `Left_outer ] -> name:string -> Table.t -> Table.t ->
-  Table.t
+(** [hash_join ~name a b] is the natural (inner) join: {!hash_probe}
+    mapped over [a]'s rows. NULL keys do not match. *)
+val hash_join : name:string -> Table.t -> Table.t -> Table.t
 
 (** [group_by ~name ~keys ~aggs t] groups by the key columns (NULLs group
     together) and computes the aggregates. [keys = []] is the grand total:

@@ -82,22 +82,6 @@ let test_hash_join_inner () =
   check_bool "no null join" true
     (List.for_all (fun r -> List.hd r <> None) (rows_of j))
 
-let test_hash_join_left_outer () =
-  let a =
-    Table.make ~name:"a" ~schema:[ "k" ]
-      [ [| Some (Term.int 1) |]; [| Some (Term.int 9) |]; [| None |] ]
-  in
-  let b =
-    Table.make ~name:"b" ~schema:[ "k"; "y" ]
-      [ [| Some (Term.int 1); Some (Term.str "hit") |] ]
-  in
-  let j = Relops.hash_join ~kind:`Left_outer ~name:"j" a b in
-  check_int "all left rows survive" 3 (Table.cardinality j);
-  let nulls =
-    List.length (List.filter (fun r -> List.nth r 1 = None) (rows_of j))
-  in
-  check_int "two padded" 2 nulls
-
 let test_cross_product () =
   let a = Table.make ~name:"a" ~schema:[ "x" ] [ [| Some (Term.int 1) |]; [| Some (Term.int 2) |] ] in
   let b = Table.make ~name:"b" ~schema:[ "y" ] [ [| Some (Term.int 3) |] ] in
@@ -199,14 +183,6 @@ let prop_repartition_join_matches =
       let got = Mr_relops.repartition_join (wf ()) ~name:"g" a b in
       Relops.same_results expected got)
 
-let prop_left_outer_matches =
-  QCheck2.Test.make ~count:200 ~name:"repartition left outer = hash left outer"
-    QCheck2.Gen.(pair (gen_table ~schema:["k";"x"]) (gen_table ~schema:["k";"y"]))
-    (fun (a, b) ->
-      let expected = Relops.hash_join ~kind:`Left_outer ~name:"e" a b in
-      let got = Mr_relops.repartition_join (wf ()) ~kind:`Left_outer ~name:"g" a b in
-      Relops.same_results expected got)
-
 let prop_map_join_matches =
   QCheck2.Test.make ~count:200 ~name:"map join = hash join"
     QCheck2.Gen.(pair (gen_table ~schema:["k";"x"]) (gen_table ~schema:["k";"y"]))
@@ -233,16 +209,16 @@ let same_rows_in_order x y =
        (fun r s -> Relops.row_compare r s = 0)
        x.Table.rows y.Table.rows
 
-let prop_map_join_exact kind label =
+let prop_map_join_exact =
   QCheck2.Test.make ~count:200
-    ~name:(Printf.sprintf "map join = hash join, rows in order (%s)" label)
+    ~name:"map join = hash join, rows in order (inner)"
     QCheck2.Gen.(
       pair
         (gen_key2_table ~schema:[ "k1"; "k2"; "x" ])
         (gen_key2_table ~schema:[ "k2"; "k1"; "y" ]))
     (fun (a, b) ->
-      let expected = Relops.hash_join ~kind ~name:"g" a b in
-      let got = Mr_relops.map_join (wf ()) ~kind ~name:"g" ~big:a ~small:b () in
+      let expected = Relops.hash_join ~name:"g" a b in
+      let got = Mr_relops.map_join (wf ()) ~name:"g" ~big:a ~small:b () in
       same_rows_in_order expected got)
 
 (* The broadcast side is indexed once per join, not once per probe row:
@@ -297,7 +273,6 @@ let suite =
     Alcotest.test_case "table basics" `Quick test_table_basics;
     Alcotest.test_case "vp store" `Quick test_vp_store;
     Alcotest.test_case "hash join inner" `Quick test_hash_join_inner;
-    Alcotest.test_case "hash join left outer" `Quick test_hash_join_left_outer;
     Alcotest.test_case "cross product" `Quick test_cross_product;
     Alcotest.test_case "group by" `Quick test_group_by;
     Alcotest.test_case "group by grand total on empty" `Quick test_group_by_grand_total_empty;
@@ -305,10 +280,8 @@ let suite =
     Alcotest.test_case "project exprs" `Quick test_project_exprs;
     Alcotest.test_case "same_results modulo order" `Quick test_same_results_modulo_order;
     QCheck_alcotest.to_alcotest prop_repartition_join_matches;
-    QCheck_alcotest.to_alcotest prop_left_outer_matches;
     QCheck_alcotest.to_alcotest prop_map_join_matches;
-    QCheck_alcotest.to_alcotest (prop_map_join_exact `Inner "inner");
-    QCheck_alcotest.to_alcotest (prop_map_join_exact `Left_outer "left outer");
+    QCheck_alcotest.to_alcotest prop_map_join_exact;
     Alcotest.test_case "map join builds its index once" `Quick
       test_map_join_builds_once;
     QCheck_alcotest.to_alcotest prop_group_aggregate_matches;
@@ -364,9 +337,6 @@ module Per_row = struct
     in
     Array.append left_row (Array.of_list extras)
 
-  let null_extend a b ~left_row =
-    Array.append left_row (Array.make (List.length (right_only_cols a b)) None)
-
   let key_of_row t cols row =
     let rec go acc = function
       | [] -> Some (List.rev acc)
@@ -377,7 +347,7 @@ module Per_row = struct
     in
     go [] cols
 
-  let hash_probe ?(kind = `Inner) a b =
+  let hash_probe a b =
     let shared = Relops.shared_cols a b in
     let index = Hashtbl.create 16 in
     List.iter
@@ -395,11 +365,7 @@ module Per_row = struct
           Option.value ~default:[] (Hashtbl.find_opt index key) |> List.rev
         | None -> []
       in
-      match matches, kind with
-      | [], `Inner -> []
-      | [], `Left_outer -> [ null_extend a b ~left_row ]
-      | rows, (`Inner | `Left_outer) ->
-        List.map (fun right_row -> merge_rows a b ~left_row ~right_row) rows
+      List.map (fun right_row -> merge_rows a b ~left_row ~right_row) matches
 
   let order_limit ~order_by ~limit t =
     let rows =
@@ -465,19 +431,17 @@ let gen_join_pair =
 
 let print_join_pair (a, b) = Fmt.str "@[<v>%a@ %a@]" Table.pp a Table.pp b
 
-let prop_staged_rows_match kind label =
-  QCheck2.Test.make ~count:300
-    ~name:(Printf.sprintf "staged row functions = per-row (%s)" label)
+let prop_staged_rows_match =
+  QCheck2.Test.make ~count:300 ~name:"staged row functions = per-row (inner)"
     ~print:print_join_pair gen_join_pair (fun (a, b) ->
       let shared = Relops.shared_cols a b in
       let key = Relops.key_of_row a shared in
-      let merge = Relops.merge_rows a b and pad = Relops.null_extend a b in
-      let probe = Relops.hash_probe ~kind a b in
-      let ref_probe = Per_row.hash_probe ~kind a b in
+      let merge = Relops.merge_rows a b in
+      let probe = Relops.hash_probe a b in
+      let ref_probe = Per_row.hash_probe a b in
       List.for_all
         (fun left_row ->
           key left_row = Per_row.key_of_row a shared left_row
-          && pad ~left_row = Per_row.null_extend a b ~left_row
           && probe left_row = ref_probe left_row
           && List.for_all
                (fun right_row ->
@@ -486,8 +450,8 @@ let prop_staged_rows_match kind label =
                b.Table.rows)
         a.Table.rows
       && Relops.same_results
-           (Relops.hash_join ~kind ~name:"e" a b)
-           (Mr_relops.repartition_join (wf ()) ~kind ~name:"g" a b))
+           (Relops.hash_join ~name:"e" a b)
+           (Mr_relops.repartition_join (wf ()) ~name:"g" a b))
 
 let prop_staged_order_limit_matches =
   QCheck2.Test.make ~count:300 ~name:"staged order_limit = per-row"
@@ -525,9 +489,7 @@ let suite =
       QCheck_alcotest.to_alcotest prop_canonicalize_idempotent;
       QCheck_alcotest.to_alcotest prop_same_results_reflexive;
       QCheck_alcotest.to_alcotest prop_order_limit_deterministic;
-      QCheck_alcotest.to_alcotest (prop_staged_rows_match `Inner "inner");
-      QCheck_alcotest.to_alcotest
-        (prop_staged_rows_match `Left_outer "left outer");
+      QCheck_alcotest.to_alcotest prop_staged_rows_match;
       QCheck_alcotest.to_alcotest prop_staged_order_limit_matches;
       Alcotest.test_case "order_limit unknown column" `Quick
         test_order_limit_unknown_column;
