@@ -15,8 +15,6 @@ type index = {
   prefix_uses : string list;  (* distinct prefixes of body qnames *)
 }
 
-let empty_index = { var_spans = []; prefix_decls = []; prefix_uses = [] }
-
 let token_span ~line ~col ~len =
   Srcloc.span_of_token (Srcloc.pos ~line ~col) ~len
 
@@ -470,9 +468,6 @@ let lint_prefixes index =
         :: acc)
     acc
     (dedup index.prefix_decls)
-
-let lint_query ?(index = empty_index) (q : Ast.query) =
-  Diagnostic.sort (lint_select index q.base_select [])
 
 let lint_source src =
   match Lexer.tokenize src with

@@ -41,7 +41,6 @@ module Srcloc = Rapida_sparql.Srcloc
     itself carries no positions). *)
 type index
 
-val empty_index : index
 val index_of_tokens : Lexer.located list -> index
 
 (** [var_span index v] is the span of the first occurrence of [?v]. *)
@@ -65,10 +64,6 @@ val filter_always_false : Ast.expr -> bool
     interval, conflicting equalities) — the witness behind the
     [filter-unsatisfiable] rule. *)
 val unsat_conjunction : Ast.expr -> Ast.var option
-
-(** [lint_query ?index q] runs every AST rule. Without an [index] the
-    diagnostics carry no spans. *)
-val lint_query : ?index:index -> Ast.query -> Diagnostic.t list
 
 (** [lint_source src] lexes, parses, and lints: parse failures become
     [parse-error] diagnostics, PREFIX hygiene is checked from the token

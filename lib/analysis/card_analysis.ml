@@ -868,8 +868,6 @@ let to_json t =
    annotation uses, exposed so [Rapida_planner]'s join enumeration can
    cost candidate orders without re-deriving the bounds. *)
 
-let scan_interval = scan_card
-
 let star_interval cat (star : Star.t) =
   star_card cat star (List.map (scan_card cat) star.Star.patterns)
 

@@ -122,10 +122,6 @@ val to_json : t -> Rapida_mapred.Json.t
     for [Rapida_planner]'s join enumeration. All bounds share the
     soundness contract of {!analyze}. *)
 
-(** [scan_interval cat tp] is the sound cardinality interval of a single
-    triple-pattern scan. *)
-val scan_interval : Stats_catalog.t -> Ast.triple_pattern -> Interval.Card.t
-
 (** [star_interval cat star] is the sound cardinality interval of the
     star join of [star]'s patterns (the Star_join node bound). *)
 val star_interval : Stats_catalog.t -> Star.t -> Interval.Card.t

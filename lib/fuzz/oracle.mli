@@ -38,8 +38,6 @@ type verdict =
   | Skip of string  (** case out of the oracle's scope (e.g. not analytical) *)
   | Violation of string
 
-val pp_verdict : verdict Fmt.t
-
 (** Prepared oracle context: the dataset, its statistics catalog, one
     prepared session per engine kind, and the knob configurations the
     metamorphic oracle sweeps. [break_table] post-processes the named
@@ -52,8 +50,6 @@ val make_env :
   ?knobs:Knobs.t list ->
   Graph.t ->
   env
-
-val env_graph : env -> Graph.t
 
 val env_catalog : env -> Rapida_analysis.Stats_catalog.t
 

@@ -7,8 +7,6 @@ module Prng = Rapida_datagen.Prng
 
 type mode = Hitting | Adversarial
 
-let mode_name = function Hitting -> "hitting" | Adversarial -> "adversarial"
-
 type env = {
   e_preds : (Term.t * Stats_catalog.pred_stats) list;
       (* non-rdf:type predicates with data behind them *)

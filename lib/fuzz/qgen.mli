@@ -19,8 +19,6 @@ module Ast = Rapida_sparql.Ast
 
 type mode = Hitting | Adversarial
 
-val mode_name : mode -> string
-
 (** The generator's view of a dataset: predicate/class vocabulary with
     statistics, numeric ranges for threshold placement, and the
     predicate-to-predicate link map used to chain stars. *)

@@ -31,8 +31,6 @@ let default =
     spill_threshold = Memory.default.Memory.spill_threshold;
   }
 
-let vcl ~nodes = { default with nodes }
-
 let scaled_down ~factor =
   {
     default with

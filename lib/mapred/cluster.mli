@@ -34,9 +34,6 @@ type t = {
 (** A 10-node VCL-like cluster, matching the paper's small setup. *)
 val default : t
 
-(** [vcl ~nodes] is [default] scaled to [nodes] nodes. *)
-val vcl : nodes:int -> t
-
 (** [scaled_down ~factor] divides the bandwidth parameters by [factor]
     while keeping the per-job startup costs, and sets a 32 KB block size
     appropriate for KB-to-MB datasets. Benchmarks use this to preserve

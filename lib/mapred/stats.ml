@@ -223,11 +223,6 @@ let pp_kind ppf = function
   | Map_reduce -> Fmt.string ppf "MR"
   | Map_only -> Fmt.string ppf "M "
 
-let pp_breakdown ppf b =
-  Fmt.pf ppf "startup=%.1fs map=%.1fs shuffle=%.1fs sort=%.1fs reduce=%.1fs"
-    b.startup_s b.map_s b.shuffle_s b.sort_s b.reduce_s;
-  if b.spill_s > 0.0 then Fmt.pf ppf " spill=%.1fs" b.spill_s
-
 let pp_job ppf j =
   Fmt.pf ppf "%a %-28s in=%8dB shuf=%8dB out=%8dB maps=%2d reds=%2d t=%6.1fs"
     pp_kind j.kind j.name j.input_bytes j.shuffle_bytes j.output_bytes

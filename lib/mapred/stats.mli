@@ -160,7 +160,6 @@ val to_json : t -> Json.t
 
 val pp_job : job Fmt.t
 val pp : t Fmt.t
-val pp_breakdown : breakdown Fmt.t
 
 (** One-line summary: cycles, bytes, simulated seconds. *)
 val pp_summary : t Fmt.t

@@ -1,5 +1,3 @@
-open Rapida_rdf
-
 type t = { parts : (int * Triplegroup.t) list; size : int }
 
 let empty = { parts = []; size = 4 }
@@ -19,10 +17,6 @@ let join a b =
   }
 
 let part t i = List.assoc_opt i t.parts
-
-let all_props t =
-  List.concat_map (fun (_, tg) -> Triplegroup.props tg) t.parts
-  |> List.sort_uniq Term.compare
 
 let has_prop t p = List.exists (fun (_, tg) -> Triplegroup.has_prop tg p) t.parts
 

@@ -23,9 +23,6 @@ val join : t -> t -> t
 (** [part t i] is the triplegroup matched at star [i], if present. *)
 val part : t -> int -> Triplegroup.t option
 
-(** [all_props t] is the union of properties across all parts, sorted. *)
-val all_props : t -> Term.t list
-
 (** [has_prop t p] tests whether any part contains property [p]. *)
 val has_prop : t -> Term.t -> bool
 

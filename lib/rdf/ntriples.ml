@@ -163,11 +163,6 @@ let parse_line line =
 
 type mode = Strict | Skip of int | Quarantine
 
-let pp_mode ppf = function
-  | Strict -> Fmt.string ppf "strict"
-  | Skip n -> Fmt.pf ppf "skip=%d" n
-  | Quarantine -> Fmt.string ppf "quarantine"
-
 let parse_mode s =
   match s with
   | "strict" -> Ok Strict

@@ -45,8 +45,6 @@ type mode =
     [skip=N], or [quarantine]. *)
 val parse_mode : string -> (mode, string) result
 
-val pp_mode : mode Fmt.t
-
 (** A malformed line set aside by [Skip]/[Quarantine]: its trimmed text
     and the located parse error. *)
 type quarantined = { q_text : string; q_error : located_error }

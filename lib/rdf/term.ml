@@ -67,7 +67,6 @@ let lexical = function
   | Bnode s -> s
 
 let is_iri = function Iri _ -> true | Literal _ | Bnode _ -> false
-let is_literal = function Literal _ -> true | Iri _ | Bnode _ -> false
 
 let pp ppf = function
   | Iri s -> Fmt.pf ppf "<%s>" s

@@ -53,7 +53,6 @@ val as_int : t -> int option
 val lexical : t -> string
 
 val is_iri : t -> bool
-val is_literal : t -> bool
 
 (** {1 Printing} *)
 

@@ -123,11 +123,6 @@ let of_query (q : Ast.query) =
       Ok { subqueries; outer_projection = s.projection;
            order_by = s.order_by; limit = s.limit }
 
-let of_query_exn q =
-  match of_query q with
-  | Ok t -> t
-  | Error e -> failwith ("analytical normal form: " ^ e)
-
 let parse src =
   let* q = Parser.parse src in
   of_query q

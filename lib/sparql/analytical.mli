@@ -41,8 +41,6 @@ type t = {
     triple patterns at the outer level mixed with subqueries). *)
 val of_query : Ast.query -> (t, string) result
 
-val of_query_exn : Ast.query -> t
-
 (** [parse src] composes {!Parser.parse} and {!of_query}. *)
 val parse : string -> (t, string) result
 

@@ -136,5 +136,3 @@ and pp_select ppf s =
   match s.limit with
   | None -> ()
   | Some n -> Fmt.pf ppf " LIMIT %d" n
-
-let pp_query ppf q = pp_select ppf q.base_select

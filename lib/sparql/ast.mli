@@ -67,4 +67,3 @@ val pattern_vars : triple_pattern -> var list
 val pp_expr : expr Fmt.t
 val pp_triple_pattern : triple_pattern Fmt.t
 val pp_select : select Fmt.t
-val pp_query : query Fmt.t

@@ -24,12 +24,6 @@ let type_objects star =
     star.patterns
   |> sort_terms
 
-let pattern_with_prop star p =
-  List.find_opt
-    (fun (tp : Ast.triple_pattern) ->
-      match tp.tp_p with Ast.Nterm t -> Term.equal t p | Ast.Nvar _ -> false)
-    star.patterns
-
 let node_equal a b =
   match a, b with
   | Ast.Nvar x, Ast.Nvar y -> String.equal x y

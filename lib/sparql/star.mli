@@ -22,10 +22,6 @@ val props : t -> Term.t list
     patterns in the star, sorted. *)
 val type_objects : t -> Term.t list
 
-(** [pattern_with_prop star p] is the first triple pattern of [star] whose
-    property is the bound term [p]. *)
-val pattern_with_prop : t -> Term.t -> Ast.triple_pattern option
-
 (** [decompose bgp] groups triple patterns by subject node, in order of
     first appearance. *)
 val decompose : Ast.triple_pattern list -> t list
