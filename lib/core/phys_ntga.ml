@@ -192,21 +192,16 @@ let agg_cycle wf ~name ~combiner ~input agjs =
       output_size = (fun (_, row) -> Table.row_size_bytes row);
     }
   in
-  (* Report the estimated per-task footprint of the Agg-Join's combiner
+  (* Record the estimated per-task footprint of the Agg-Join's combiner
      hash table (one mapper's input share, the upper bound on live
      partial-aggregation state) so Plan_verify can warn on overcommit
-     against the cluster's task heap. The metric keeps the maximum seen
-     across cycles. *)
-  (let ctx = Workflow.ctx wf in
-   let cluster = Rapida_mapred.Exec_ctx.cluster ctx in
-   let input_bytes =
+     against the cluster's task heap. The workflow keeps the maximum
+     seen across cycles. *)
+  (let input_bytes =
      List.fold_left (fun acc j -> acc + Joined.size_bytes j) 0 input
    in
-   let tasks = Job.estimate_map_tasks cluster ~input_bytes in
-   let est = input_bytes / max 1 tasks in
-   let m = Rapida_mapred.Exec_ctx.metrics ctx in
-   let cur = Rapida_mapred.Metrics.get m "mem.agj_ht_bytes" in
-   if est > cur then Rapida_mapred.Metrics.add m "mem.agj_ht_bytes" (est - cur));
+   let tasks = Job.estimate_map_tasks (Workflow.cluster wf) ~input_bytes in
+   Workflow.note_agj_ht_bytes wf (input_bytes / max 1 tasks));
   let tagged_rows = Workflow.run_job wf spec input in
   List.map
     (fun agj ->

@@ -94,11 +94,6 @@ let planner_of wf = Exec_ctx.planner (Workflow.ctx wf)
 let task_heap_bytes wf =
   (Exec_ctx.cluster (Workflow.ctx wf)).Rapida_mapred.Cluster.task_heap_bytes
 
-let note_mapjoin_fallback wf =
-  Rapida_mapred.Metrics.add
-    (Exec_ctx.metrics (Workflow.ctx wf))
-    "mem.mapjoin_fallbacks" 1
-
 let var_name = function
   | Ast.Nvar v -> v
   | Ast.Nterm t ->
@@ -384,7 +379,7 @@ let star_join wf ~name ~required ~optional =
       if build_bytes < task_heap_bytes wf then
         star_join_map_only wf ~name ~required ~optional ~stream_index:i
       else begin
-        note_mapjoin_fallback wf;
+        Workflow.note_mapjoin_fallback wf;
         star_join_mr wf ~name ~required ~optional
       end
     | _ -> star_join_mr wf ~name ~required ~optional)
@@ -397,7 +392,7 @@ let pair_join wf ~name a b =
   if broadcastable sb then Mr_relops.map_join wf ~name ~big:a ~small:b ()
   else if broadcastable sa then Mr_relops.map_join wf ~name ~big:b ~small:a ()
   else begin
-    if min sa sb < threshold then note_mapjoin_fallback wf;
+    if min sa sb < threshold then Workflow.note_mapjoin_fallback wf;
     Mr_relops.repartition_join wf ~name a b
   end
 
@@ -493,7 +488,7 @@ let final_join wf (q : Analytical.t) tables =
           if Table.size_bytes t < heap then
             Mr_relops.map_join wf ~name:"join_aggregates" ~big:acc ~small:t ()
           else begin
-            note_mapjoin_fallback wf;
+            Workflow.note_mapjoin_fallback wf;
             Mr_relops.repartition_join wf ~name:"join_aggregates" acc t
           end)
         first rest

@@ -109,9 +109,8 @@ let knob_cell ~base_s (r : Experiment.engine_run) =
   match r.output with
   | Error _ -> "aborted"
   | Ok { Engine.stats; _ } ->
-    let count = Rapida_mapred.(Metrics.get (Exec_ctx.metrics r.ctx)) in
-    let recoveries = count "mr.recoveries" in
-    let checkpoints = Stats.checkpoints_written stats in
+    let recoveries = stats.Stats.recoveries in
+    let checkpoints = stats.Stats.checkpoints_written in
     let t = Stats.est_time_s stats in
     String.concat ""
       [
@@ -120,9 +119,9 @@ let knob_cell ~base_s (r : Experiment.engine_run) =
           (if base_s > 0.0 then t /. base_s else 1.0);
         (if Stats.total_spill_passes stats > 0 then " s" else "");
         (if Stats.total_oom_kills stats > 0 then "!o" else "");
-        (if count "mem.mapjoin_fallbacks" > 0 then "+r" else "");
+        (if stats.Stats.mapjoin_fallbacks > 0 then "+r" else "");
         (if recoveries > 0 then
-           Printf.sprintf " r%d/%.0fs" recoveries (Stats.replayed_s stats)
+           Printf.sprintf " r%d/%.0fs" recoveries stats.Stats.replayed_s
          else "");
         (if checkpoints > 0 then Printf.sprintf " c%d" checkpoints else "");
         (if r.agreed then "" else "*");

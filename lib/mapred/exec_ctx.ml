@@ -19,7 +19,6 @@ type t = {
   faults : Fault_injector.t;
   checkpoint : Checkpoint.config;
   join_orders : (int * int list) list;
-  metrics : Metrics.t;
   trace : Trace.t;
 }
 
@@ -32,7 +31,6 @@ let create ?(cluster = Cluster.default) ?(planner = default_planner)
     faults;
     checkpoint = Checkpoint.create checkpoint;
     join_orders;
-    metrics = Metrics.create ();
     trace = Trace.create ();
   }
 
@@ -41,6 +39,5 @@ let planner t = t.planner
 let faults t = t.faults
 let checkpoint t = t.checkpoint
 let join_order t key = List.assoc_opt key t.join_orders
-let metrics t = t.metrics
 let trace t = t.trace
 let with_cluster t cluster = { t with cluster }

@@ -6,7 +6,6 @@ module Cluster = Rapida_mapred.Cluster
 module Exec_ctx = Rapida_mapred.Exec_ctx
 module Job = Rapida_mapred.Job
 module Memory = Rapida_mapred.Memory
-module Metrics = Rapida_mapred.Metrics
 module Stats = Rapida_mapred.Stats
 module Engine = Rapida_core.Engine
 module Plan_util = Rapida_core.Plan_util
@@ -252,7 +251,7 @@ let test_mapjoin_fallback () =
     match run_engine Engine.Hive_naive ctx input q with
     | Error msg -> Alcotest.fail msg
     | Ok out ->
-      (out.Engine.table, Metrics.get (Exec_ctx.metrics ctx) "mem.mapjoin_fallbacks")
+      (out.Engine.table, out.Engine.stats.Stats.mapjoin_fallbacks)
   in
   let table_u, fb_u = run Memory.default.Memory.task_heap_bytes in
   let table_b, fb_b = run 512 in

@@ -14,7 +14,6 @@ module Ck = Rapida_mapred.Checkpoint
 module Job = Rapida_mapred.Job
 module Stats = Rapida_mapred.Stats
 module Workflow = Rapida_mapred.Workflow
-module Metrics = Rapida_mapred.Metrics
 module Engine = Rapida_core.Engine
 module Plan_util = Rapida_core.Plan_util
 module Catalog = Rapida_queries.Catalog
@@ -203,11 +202,11 @@ let test_checkpoint_pricing_end_to_end () =
   Alcotest.(check (list (pair string int)))
     "checkpointing never changes results"
     (List.sort compare out_n) (List.sort compare out_c);
-  check_int "one checkpoint written" 1 (Stats.checkpoints_written s_c);
-  check_bool "payload recorded" true (Stats.checkpoint_bytes s_c > 0);
-  check_bool "checkpoint costs time" true (Stats.checkpoint_s s_c > 0.0);
+  check_int "one checkpoint written" 1 s_c.Stats.checkpoints_written;
+  check_bool "payload recorded" true (s_c.Stats.checkpoint_bytes > 0);
+  check_bool "checkpoint costs time" true (s_c.Stats.checkpoint_s > 0.0);
   check_bool "est = never est + checkpoint_s, bitwise" true
-    (Stats.est_time_s s_c = Stats.est_time_s s_n +. Stats.checkpoint_s s_c);
+    (Stats.est_time_s s_c = Stats.est_time_s s_n +. s_c.Stats.checkpoint_s);
   check_bool "disabled checkpointing is bit-identical" true
     (Stats.est_time_s (snd (run (Some Ck.default))) = Stats.est_time_s s_n)
 
@@ -235,14 +234,12 @@ let test_workflow_recovers_and_completes () =
     "recovered workflow returns the right second answer"
     (List.sort compare healthy) (List.sort compare out_b);
   let stats = Workflow.stats wf in
-  let recoveries = Metrics.get (Exec_ctx.metrics c) "mr.recoveries" in
   check_bool "at these rates the workflow must have recovered" true
-    (recoveries > 0);
+    (stats.Stats.recoveries > 0);
   check_bool "second job's recoveries replay the first job" true
-    (Stats.replayed_s stats > 0.0 && Stats.recovered_jobs stats > 0);
+    (stats.Stats.replayed_s > 0.0 && stats.Stats.recovered_jobs > 0);
   check_bool "replay is charged into the total" true
-    (Stats.est_time_s stats
-    >= Stats.replayed_s stats +. Stats.lost_s stats)
+    (Stats.est_time_s stats >= stats.Stats.replayed_s +. stats.Stats.lost_s)
 
 (* The same configuration without a policy aborts — recovery is what
    turned the abort into completion. *)
@@ -304,7 +301,7 @@ let test_engines_identical_under_recovery () =
             if not (Relops.same_results base_table out.Engine.table) then
               Alcotest.failf "seed %d %s whole-plan: result diverged" seed
                 (Engine.kind_name kind);
-            Stats.replayed_s out.Engine.stats
+            out.Engine.stats.Stats.replayed_s
         in
         match run kind seed (Ck.Every_k 1) with
         | Error msg ->
@@ -314,7 +311,7 @@ let test_engines_identical_under_recovery () =
           if not (Relops.same_results base_table out.Engine.table) then
             Alcotest.failf "seed %d %s every-1: result diverged" seed
               (Engine.kind_name kind);
-          let replayed = Stats.replayed_s out.Engine.stats in
+          let replayed = out.Engine.stats.Stats.replayed_s in
           if whole > 0.0 then begin
             incr nonvacuous;
             if not (replayed < whole) then
@@ -378,7 +375,8 @@ let test_skip_within_tolerance () =
   check_bool "skipping costs simulated time" true
     (s_p.Stats.est_time_s > s_h.Stats.est_time_s);
   check_int "counter surfaced" s_p.Stats.skipped_records
-    (Metrics.get (Exec_ctx.metrics c) "mr.skipped_records")
+    (List.assoc "mr.skipped_records"
+       (Stats.counters (Stats.append Stats.empty s_p)))
 
 let test_poison_beyond_tolerance_fails () =
   let seed = Lazy.force poison_seed in
@@ -428,7 +426,8 @@ let test_map_only_skip_within_tolerance () =
   check_bool "skipping costs simulated time" true
     (s_p.Stats.est_time_s > s_h.Stats.est_time_s);
   check_int "counter surfaced" s_p.Stats.skipped_records
-    (Metrics.get (Exec_ctx.metrics c) "mr.skipped_records")
+    (List.assoc "mr.skipped_records"
+       (Stats.counters (Stats.append Stats.empty s_p)))
 
 let test_map_only_poison_beyond_tolerance_fails () =
   let cfg =

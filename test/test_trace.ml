@@ -6,7 +6,6 @@ module Cluster = Rapida_mapred.Cluster
 module Exec_ctx = Rapida_mapred.Exec_ctx
 module Job = Rapida_mapred.Job
 module Json = Rapida_mapred.Json
-module Metrics = Rapida_mapred.Metrics
 module Stats = Rapida_mapred.Stats
 module Trace = Rapida_mapred.Trace
 
@@ -127,22 +126,22 @@ let test_counters () =
   let cluster = { Cluster.default with block_size_bytes = 8 } in
   let ctx = Exec_ctx.create ~cluster () in
   let input = List.init 40 (fun _ -> "x x x") in
-  let _, stats = Job.run ctx (wordcount ~with_combiner:true) input in
-  let m = Exec_ctx.metrics ctx in
-  check_int "job counted" 1 (Metrics.get m "mr.jobs");
-  check_int "no map-only jobs" 0 (Metrics.get m "mr.map_only_jobs");
-  check_int "input records" 40 (Metrics.get m "mr.input_records");
+  let _, job = Job.run ctx (wordcount ~with_combiner:true) input in
+  let counters = Stats.counters (Stats.append Stats.empty job) in
+  let get name = Option.value ~default:0 (List.assoc_opt name counters) in
+  check_int "job counted" 1 (get "mr.jobs");
+  check_bool "no map-only jobs, so no key" false
+    (List.mem_assoc "mr.map_only_jobs" counters);
+  check_int "input records" 40 (get "mr.input_records");
   check_int "combiner input is the map-emitted count" 120
-    (Metrics.get m "mr.combine.input_records");
+    (get "mr.combine.input_records");
   check_bool "combiner shrank the shuffle" true
-    (Metrics.get m "mr.combine.output_records"
-    < Metrics.get m "mr.combine.input_records");
-  check_int "combiner output feeds the shuffle"
-    (Metrics.get m "mr.shuffle_records")
-    (Metrics.get m "mr.combine.output_records");
-  check_int "one group per distinct word" 1 (Metrics.get m "mr.reduce.groups");
-  check_int "stats agree with the registry" stats.Stats.combine_input_records
-    (Metrics.get m "mr.combine.input_records")
+    (get "mr.combine.output_records" < get "mr.combine.input_records");
+  check_int "combiner output feeds the shuffle" (get "mr.shuffle_records")
+    (get "mr.combine.output_records");
+  check_int "one group per distinct word" 1 (get "mr.reduce.groups");
+  check_bool "in name order" true
+    (List.sort compare (List.map fst counters) = List.map fst counters)
 
 (* An independent JSON reader (full RFC 8259 syntax): the exporter goes
    through Json.to_string, so validity here catches escaping and float
