@@ -63,8 +63,9 @@
    memory of every section's simulated cluster, and --checkpoint SPEC
    (same spec as `rapida query --checkpoint`) checkpoints every
    section's workflows.
-   An unknown section, a missing option value, or a malformed one exits
-   with status 2. *)
+   An unknown section, a missing option value, a malformed one, or
+   --bench-json with more than one of analyze, optimize and fuzz to run
+   (each writes its own artifact) exits with status 2. *)
 
 module Engine = Rapida_core.Engine
 module Plan_util = Rapida_core.Plan_util
@@ -629,6 +630,13 @@ let () =
           (Printf.sprintf "unknown section %s (expected all or one of: %s)" s
              (String.concat " " (List.map fst sections_in_order))))
     (List.rev !sections);
+  if
+    !bench_json <> None
+    && List.length (List.filter want [ "analyze"; "optimize"; "fuzz" ]) > 1
+  then
+    usage_error
+      "--bench-json writes one artifact: run one of analyze, optimize and \
+       fuzz";
   Fmt.pr "RAPIDAnalytics benchmark harness (scale=%d)@." !scale;
   Fmt.pr "cluster model: %a@." Rapida_mapred.Cluster.pp options.cluster;
   List.iter (fun (name, run) -> if want name then run ()) sections_in_order
