@@ -76,7 +76,7 @@ val verify_cross_engine :
     is [None] when neither reports an error, else the one-line failure
     [plan verification failed (<engine>): <problem>; <problem>...].
     Pure and called after {!Rapida_core.Engine.execute} returns, so the
-    run's answer, trace and counters are the same whether or not it is
+    run's answer, trace and stats are the same whether or not it is
     checked. *)
 val check_run : Engine.kind -> Analytical.t -> Table.t -> string option
 

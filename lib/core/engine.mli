@@ -12,8 +12,8 @@
 
     Every execution goes through an execution context
     ({!Rapida_mapred.Exec_ctx}): the context picks the cluster model and
-    planner options, and collects the per-phase trace and counters as the
-    simulated jobs execute. Create a fresh context per query run (e.g.
+    planner options, and collects the per-phase trace as the simulated
+    jobs execute; the output's {!Rapida_mapred.Stats} holds their counts. Create a fresh context per query run (e.g.
     with {!Plan_util.context}) so the telemetry attributes to a single
     execution. *)
 

@@ -73,13 +73,12 @@ val make :
     fallback and must use the heuristic order. *)
 val degrade_options : options -> options
 
-(** [context options] is a fresh execution context (empty trace and
-    counters) configured with [options]. Create one per query run. *)
+(** [context options] is a fresh execution context (empty trace)
+    configured with [options]. Create one per query run. *)
 val context : options -> Exec_ctx.t
 
 (** [hive_ctx ctx] prices jobs with the Hive engines' storage compression
-    applied to the cluster, sharing [ctx]'s planner, trace, and
-    counters. *)
+    applied to the cluster, sharing [ctx]'s planner and trace. *)
 val hive_ctx : Exec_ctx.t -> Exec_ctx.t
 
 (** [tp_table vp tp] scans the VP partition of a triple pattern into a

@@ -20,8 +20,8 @@ type run = {
   results : engine_run list;
 }
 
-(* A fresh context per engine run: each run's trace and counters
-   describe exactly one engine's workflow. [agrees] checks a completed
+(* A fresh context per engine run: each run's trace describes exactly
+   one engine's workflow. [agrees] checks a completed
    run's table against the caller's reference. *)
 let run_engine ~setting ~agrees options session q =
   let ctx = Plan_util.context options in

@@ -3,8 +3,7 @@
     each engine's run for the reports.
 
     Each engine run gets a fresh execution context built from the given
-    options, so a run's trace and counters describe exactly one engine's
-    workflow. *)
+    options, so a run's trace describes exactly one engine's workflow. *)
 
 module Engine = Rapida_core.Engine
 module Catalog = Rapida_queries.Catalog
@@ -20,8 +19,8 @@ type engine_run = {
   output : (Engine.output, string) result;
       (** the run's output, or why it failed (e.g. out of retries) *)
   ctx : Rapida_mapred.Exec_ctx.t;
-      (** the run's context: its counters and its span trace (kept for a
-          failed run too) *)
+      (** the run's context, kept for its span trace (which a failed run
+          has too) *)
   agreed : bool;
       (** the run completed and its result is identical to the
           reference: the reference evaluator in {!run_query}, the
