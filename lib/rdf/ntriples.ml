@@ -8,32 +8,36 @@ let string_of_error e =
 let pp_error ppf e =
   Fmt.pf ppf "line %d: col %d: %s" e.l_line e.l_col e.l_reason
 
-(* A small cursor-based scanner over one line. Scan errors carry the
-   1-based column; the line number is attached by the caller. *)
-type cursor = { line : string; mutable pos : int }
+(* A small cursor-based scanner over one trimmed line, the range
+   [[base, stop)] of [text] (a whole document, scanned in place). Scan
+   errors carry the 1-based column within the trimmed line; the line
+   number is attached by the caller. *)
+type cursor = { text : string; mutable pos : int; base : int; stop : int }
 
-let peek c = if c.pos < String.length c.line then Some c.line.[c.pos] else None
+let peek c = if c.pos < c.stop then Some c.text.[c.pos] else None
 
 let skip_ws c =
-  while
-    c.pos < String.length c.line
-    && (c.line.[c.pos] = ' ' || c.line.[c.pos] = '\t')
-  do
+  while c.pos < c.stop && (c.text.[c.pos] = ' ' || c.text.[c.pos] = '\t') do
     c.pos <- c.pos + 1
   done
 
-let error c msg = Error (c.pos + 1, msg)
+let error c msg = Error (c.pos - c.base + 1, msg)
 
-let scan_iri c =
-  (* Caller has consumed nothing; current char is '<'. *)
+(* The text between '<' and '>'; the current char is '<'. *)
+let scan_iri_text c =
   c.pos <- c.pos + 1;
   let start = c.pos in
-  match String.index_from_opt c.line start '>' with
-  | None -> error c "unterminated IRI"
-  | Some close ->
-    let iri = String.sub c.line start (close - start) in
-    c.pos <- close + 1;
-    Ok (Term.iri iri)
+  let rec close i =
+    if i >= c.stop then error c "unterminated IRI"
+    else if c.text.[i] = '>' then begin
+      c.pos <- i + 1;
+      Ok (String.sub c.text start (i - start))
+    end
+    else close (i + 1)
+  in
+  close start
+
+let scan_iri c = Result.map Term.iri (scan_iri_text c)
 
 let scan_bnode c =
   (* Current chars are '_:'. *)
@@ -45,73 +49,64 @@ let scan_bnode c =
     || (ch >= '0' && ch <= '9')
     || ch = '_' || ch = '-'
   in
-  while c.pos < String.length c.line && is_label_char c.line.[c.pos] do
+  while c.pos < c.stop && is_label_char c.text.[c.pos] do
     c.pos <- c.pos + 1
   done;
   if c.pos = start then error c "empty blank node label"
-  else Ok (Term.bnode (String.sub c.line start (c.pos - start)))
+  else Ok (Term.bnode (String.sub c.text start (c.pos - start)))
 
+(* Most literals hold no escape, and need no copy. *)
 let unescape s =
-  let buf = Buffer.create (String.length s) in
-  let rec go i =
-    if i >= String.length s then Buffer.contents buf
-    else if s.[i] = '\\' && i + 1 < String.length s then begin
-      (match s.[i + 1] with
-      | 'n' -> Buffer.add_char buf '\n'
-      | 'r' -> Buffer.add_char buf '\r'
-      | 't' -> Buffer.add_char buf '\t'
-      | '"' -> Buffer.add_char buf '"'
-      | '\\' -> Buffer.add_char buf '\\'
-      | other ->
-        Buffer.add_char buf '\\';
-        Buffer.add_char buf other);
-      go (i + 2)
-    end
-    else begin
-      Buffer.add_char buf s.[i];
-      go (i + 1)
-    end
-  in
-  go 0
-
-let datatype_of_iri = Term.datatype_of_iri
+  if not (String.contains s '\\') then s
+  else
+    let buf = Buffer.create (String.length s) in
+    let rec go i =
+      if i >= String.length s then Buffer.contents buf
+      else if s.[i] = '\\' && i + 1 < String.length s then begin
+        (match s.[i + 1] with
+        | 'n' -> Buffer.add_char buf '\n'
+        | 'r' -> Buffer.add_char buf '\r'
+        | 't' -> Buffer.add_char buf '\t'
+        | '"' -> Buffer.add_char buf '"'
+        | '\\' -> Buffer.add_char buf '\\'
+        | other ->
+          Buffer.add_char buf '\\';
+          Buffer.add_char buf other);
+        go (i + 2)
+      end
+      else begin
+        Buffer.add_char buf s.[i];
+        go (i + 1)
+      end
+    in
+    go 0
 
 let scan_literal c =
   (* Current char is '"'. Scan to the closing unescaped quote. *)
   c.pos <- c.pos + 1;
   let start = c.pos in
   let rec find i =
-    if i >= String.length c.line then None
-    else if c.line.[i] = '\\' then find (i + 2)
-    else if c.line.[i] = '"' then Some i
+    if i >= c.stop then None
+    else if c.text.[i] = '\\' then find (i + 2)
+    else if c.text.[i] = '"' then Some i
     else find (i + 1)
   in
   match find start with
   | None -> error c "unterminated literal"
   | Some close -> (
-    let lex = unescape (String.sub c.line start (close - start)) in
+    let lex = unescape (String.sub c.text start (close - start)) in
     c.pos <- close + 1;
     match peek c with
-    | Some '^' when c.pos + 1 < String.length c.line && c.line.[c.pos + 1] = '^'
-      -> (
+    | Some '^' when c.pos + 1 < c.stop && c.text.[c.pos + 1] = '^' -> (
       c.pos <- c.pos + 2;
       match peek c with
-      | Some '<' -> (
-        match scan_iri c with
-        | Error _ as e -> e
-        | Ok dt_term -> (
-          let dt_iri = Term.lexical dt_term in
-          match datatype_of_iri dt_iri with
-          | Some datatype -> Ok (Term.Literal { lex; datatype })
-          | None -> Ok (Term.Literal { lex; datatype = Term.Dstring })))
+      | Some '<' -> Result.map (Term.typed lex) (scan_iri_text c)
       | _ -> error c "expected datatype IRI after ^^")
     | Some '@' ->
       (* Language tag: keep the lexical form, drop the tag. *)
       let rec skip i =
-        if
-          i < String.length c.line
-          && c.line.[i] <> ' ' && c.line.[i] <> '\t'
-        then skip (i + 1)
+        if i < c.stop && c.text.[i] <> ' ' && c.text.[i] <> '\t' then
+          skip (i + 1)
         else i
       in
       c.pos <- skip (c.pos + 1);
@@ -127,15 +122,30 @@ let scan_term c =
   | Some ch -> error c (Printf.sprintf "unexpected character %C" ch)
   | None -> error c "unexpected end of line"
 
-let parse_line_located ~line:l_line line =
-  let trimmed = String.trim line in
-  if trimmed = "" || trimmed.[0] = '#' then Ok None
+let is_space = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
+
+(* The bounds of [text]'s range [[i, j)] without the spaces around it,
+   as [String.trim] would cut them. *)
+let trim text i j =
+  let i = ref i and j = ref j in
+  while !i < !j && is_space text.[!i] do
+    incr i
+  done;
+  while !j > !i && is_space text.[!j - 1] do
+    decr j
+  done;
+  (!i, !j)
+
+(* Parse the line [[i, j)] of [text]. *)
+let parse_range ~line:l_line text i j =
+  let base, stop = trim text i j in
+  if base = stop || text.[base] = '#' then Ok None
   else
     let located = function
       | Ok _ as ok -> ok
       | Error (l_col, l_reason) -> Error { l_line; l_col; l_reason }
     in
-    let c = { line = trimmed; pos = 0 } in
+    let c = { text; pos = base; base; stop } in
     match located (scan_term c) with
     | Error e -> Error e
     | Ok s -> (
@@ -154,6 +164,9 @@ let parse_line_located ~line:l_line line =
             | None -> Ok (Some (Triple.make s p o))
             | Some _ -> located (error c "trailing content after '.'"))
           | _ -> located (error c "expected terminating '.'"))))
+
+let parse_line_located ~line text =
+  parse_range ~line text 0 (String.length text)
 
 (* Shim: the historical one-line API reported ["col %d: %s"]. *)
 let parse_line line =
@@ -195,23 +208,26 @@ let budget_of_mode = function
   | Skip n -> n
   | Quarantine -> max_int
 
+(* Lines are scanned in place: the document is never split into a
+   string per line. *)
 let parse_string_mode mode s =
   let budget = budget_of_mode mode in
-  let lines = String.split_on_char '\n' s in
-  let rec go n acc quar nquar = function
-    | [] -> Ok { triples = List.rev acc; quarantined = List.rev quar }
-    | line :: rest -> (
-      match parse_line_located ~line:n line with
-      | Ok None -> go (n + 1) acc quar nquar rest
-      | Ok (Some t) -> go (n + 1) (t :: acc) quar nquar rest
+  let len = String.length s in
+  let rec go n i acc quar nquar =
+    if i > len then Ok { triples = List.rev acc; quarantined = List.rev quar }
+    else
+      let j = Option.value ~default:len (String.index_from_opt s i '\n') in
+      match parse_range ~line:n s i j with
+      | Ok None -> go (n + 1) (j + 1) acc quar nquar
+      | Ok (Some t) -> go (n + 1) (j + 1) (t :: acc) quar nquar
       | Error e ->
         if nquar >= budget then Error e
         else
-          go (n + 1) acc
-            ({ q_text = String.trim line; q_error = e } :: quar)
-            (nquar + 1) rest)
+          let base, stop = trim s i j in
+          let q = { q_text = String.sub s base (stop - base); q_error = e } in
+          go (n + 1) (j + 1) acc (q :: quar) (nquar + 1)
   in
-  go 1 [] [] 0 lines
+  go 1 0 [] [] 0
 
 (* Shim: the historical whole-document API reported
    ["line %d: col %d: %s"] as one string. *)

@@ -12,13 +12,24 @@ type datatype = Dstring | Dint | Ddecimal | Dboolean | Ddate
 
 type literal = { lex : string; datatype : datatype }
 
-type t =
+(** Terms are hash-consed: the constructors below return the one block
+    held for each distinct term in a process-global weak table, so equal
+    terms are physically equal. The type is [private] so that no other
+    block can be built; matching on it is unrestricted. The table is not
+    domain-safe. *)
+type t = private
   | Iri of string
   | Literal of literal
   | Bnode of string
 
+(** [compare] orders IRIs before literals before blank nodes, literals
+    by datatype then lexical form. It returns [0] exactly when [==]. *)
 val compare : t -> t -> int
+
+(** [equal a b] is [a == b], the same relation as [compare a b = 0]. *)
 val equal : t -> t -> bool
+
+(** [hash] is structural, so it does not depend on addresses. *)
 val hash : t -> int
 
 (** {1 Constructors} *)
@@ -30,6 +41,9 @@ val decimal : float -> t
 val boolean : bool -> t
 val date : string -> t
 val bnode : string -> t
+
+(** [literal lex datatype] is the literal with that lexical form and tag. *)
+val literal : string -> datatype -> t
 
 (** [typed lex datatype_iri] builds a literal from a lexical form and an
     XSD datatype IRI; unknown datatypes default to plain strings. *)

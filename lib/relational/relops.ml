@@ -206,7 +206,7 @@ let round_cell = function
   | Some (Term.Literal { lex; datatype = Term.Ddecimal }) as cell -> (
     match float_of_string_opt lex with
     | Some f ->
-      Some (Term.Literal { lex = Printf.sprintf "%.9g" f; datatype = Term.Ddecimal })
+      Some (Term.literal (Printf.sprintf "%.9g" f) Term.Ddecimal)
     | None -> cell)
   | cell -> cell
 
