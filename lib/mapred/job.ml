@@ -126,16 +126,24 @@ let estimate_map_tasks cluster ~input_bytes =
    our records within one job are homogeneous. *)
 let partition_input input n =
   let n = max 1 n in
-  let arr = Array.of_list input in
-  let len = Array.length arr in
+  let len = List.length input in
   let per = max 1 ((len + n - 1) / n) in
-  let rec go start acc =
-    if start >= len then List.rev acc
-    else
-      let stop = min len (start + per) in
-      go stop (Array.to_list (Array.sub arr start (stop - start)) :: acc)
+  (* Each task but the last gets a copy of its [per] cells; the last
+     shares the input's own tail, so a one-task job copies nothing. *)
+  let rest = ref [] in
+  let[@tail_mod_cons] rec take k = function
+    | x :: tl when k > 0 -> x :: take (k - 1) tl
+    | l ->
+      rest := l;
+      []
   in
-  if len = 0 then [ [] ] else go 0 []
+  let rec go l remaining =
+    if remaining <= per then [ l ]
+    else
+      let chunk = take per l in
+      chunk :: go !rest (remaining - per)
+  in
+  go input len
 
 let mb bytes = float_of_int bytes /. (1024.0 *. 1024.0)
 
